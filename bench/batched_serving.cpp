@@ -8,7 +8,7 @@
 //
 // Three claims are checked:
 //   1. per-image outputs are bit-identical to the sequential Executor at
-//      every bucket x thread-width grid point (direct BatchExecutionContext
+//      every bucket x thread-width grid point (direct ExecutionContext
 //      probes over every partial batch size) AND for every Ok response of
 //      every open-loop serving point. Always asserted; failure exits
 //      nonzero.
@@ -33,7 +33,6 @@
 #include "BenchCommon.h"
 
 #include "batch/Minibatch.h"
-#include "engine/BatchContext.h"
 #include "engine/Engine.h"
 #include "serve/OpenLoop.h"
 #include "serve/Server.h"
@@ -206,7 +205,7 @@ int main() {
     for (unsigned Threads = 1; Threads <= 2; ++Threads) {
       ExecutionContextOptions BOpts;
       BOpts.Threads = Threads;
-      BatchExecutionContext BCtx(R.Artifact, BOpts);
+      ExecutionContext BCtx(R.Artifact, BOpts);
       for (int64_t K = 1; K <= R.Bucket; ++K) {
         std::vector<const Tensor3D *> Ptrs;
         for (int64_t I = 0; I < K; ++I)

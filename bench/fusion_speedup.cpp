@@ -86,7 +86,7 @@ int main() {
       ExecutorOptions XOpts;
       XOpts.UseArena = true;
       std::unique_ptr<Executor> Exec = Eng.instantiate(*Net, Run.R, XOpts);
-      const MemoryPlan &MP = Exec->memoryPlan();
+      const MemoryPlan &MP = Exec->compiled().memoryPlan();
       Run.Values = MP.Values.size();
       Run.ArenaBytes = Exec->arenaBytes();
       Run.BaselineBytes = MP.BaselineBytes;

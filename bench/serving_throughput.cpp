@@ -145,8 +145,8 @@ int main() {
               "baseline, %u packed values, %zu levels)\n",
               BaseBytes / (1024.0 * 1024.0), ArenaBytes / (1024.0 * 1024.0),
               100.0 * ArenaBytes / BaseBytes,
-              Arena.memoryPlan().NumArenaValues,
-              Arena.memoryPlan().Levels.size());
+              Arena.compiled().memoryPlan().NumArenaValues,
+              Arena.compiled().memoryPlan().Levels.size());
   std::printf("steady state (mean of %u): per-layer %.2f ms (%.1f inf/s), "
               "arena %.2f ms (%.1f inf/s), arena+branches(4t) %.2f ms "
               "(%.1f inf/s)\n",

@@ -1,35 +1,14 @@
-//===- engine/BatchContext.h - Batched execution context --------*- C++ -*-===//
+//===- engine/BatchContext.h - Batched execution context name ---*- C++ -*-===//
 //
 // Part of primsel. See DESIGN.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched run phase of a CompiledNet: one context that carries K
-/// images (K <= the artifact's compiled batch size) through ONE
-/// interpretation of the execution plan, dispatching each conv step once
-/// through ConvInstance::runBatch so the §8 minibatch schedules the solver
-/// picked (@bser / @bpar, per layer, per bucket) actually execute --
-/// instead of K independent single-image passes paying K x the per-step
-/// dispatch and K separate context states.
-///
-/// Per-image semantics are untouched: every value is a per-image tensor
-/// (the memory plan is per-image; the batch axis is this context's value
-/// table), transforms and non-conv layers run per image through the exact
-/// single-image operators, and the minibatch wrappers run each image
-/// through the same base routine a batch-1 plan would use. Outputs are
-/// therefore bit-identical to the sequential Executor, image by image, at
-/// every batch size -- asserted by tests and bench/batched_serving.
-///
-/// Arena mode packs B slabs of the compile-time arena template into one
-/// allocation, so a batch-8 context costs one allocation where eight slot
-/// contexts cost eight (plus their eight thread states).
-///
-/// Jitted artifacts compose: the generated program is a per-image
-/// straight-line pass (it binds the plan's primitives -- minibatch
-/// wrappers included, whose single-image run() forwards to the base
-/// routine), so a jitted batch context loops the K images through its one
-/// generated context.
+/// ExecutionContext runs 1 <= K <= capacity() images per pass, so a
+/// batched context is an ordinary ExecutionContext over a batch-bucket
+/// artifact. This name remains only for the end-to-end benchmark's public
+/// API contract (bench/e2e/README.md); in-repo code uses ExecutionContext.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,74 +19,7 @@
 
 namespace primsel {
 
-/// A per-worker batched execution context over one CompiledNet. Not
-/// thread-safe (one per serving thread, like ExecutionContext); distinct
-/// contexts never share mutable state.
-class BatchExecutionContext {
-public:
-  /// \p Compiled is typically a batch-bucket artifact (its graph solved at
-  /// Scenario.Batch == capacity()); a batch-1 artifact yields a capacity-1
-  /// context that behaves exactly like ExecutionContext. Options.Threads
-  /// sizes the pool the batch schedules draw from; ParallelBranches does
-  /// not apply to batched interpretation and is ignored.
-  BatchExecutionContext(std::shared_ptr<const CompiledNet> Compiled,
-                        const ExecutionContextOptions &Options);
-  ~BatchExecutionContext();
-
-  BatchExecutionContext(const BatchExecutionContext &) = delete;
-  BatchExecutionContext &operator=(const BatchExecutionContext &) = delete;
-
-  /// The compiled batch size: the largest K run() accepts.
-  int64_t capacity() const { return Capacity; }
-
-  /// One batched forward pass over \p Inputs (1 <= K <= capacity();
-  /// asserted). Each input must be CHW with the network's per-image input
-  /// shape and stays borrowed for the duration of the call. Partial
-  /// batches are first-class: a K < capacity() run executes K images, not
-  /// capacity() padded ones.
-  RunResult run(const std::vector<const Tensor3D *> &Inputs);
-
-  /// Per-image network output of the most recent run(); valid until the
-  /// next run on this context. \p Image indexes the Inputs vector.
-  const Tensor3D &output(size_t Image) const;
-
-  const CompiledNet &compiled() const { return *Compiled; }
-  const ExecutionContextOptions &options() const { return Opts; }
-
-  /// Bytes of this context's arena (capacity() slabs of the compile-time
-  /// template; 0 when UseArena is off).
-  size_t arenaBytes() const { return Arena.size() * sizeof(float); }
-
-private:
-  void executeStep(unsigned StepIndex,
-                   const std::vector<const Tensor3D *> &Inputs, RunResult &R);
-  Tensor3D makeValueTensor(ValueId V, size_t Image);
-  /// Borrowed view of an already-materialized value tensor (runBatch takes
-  /// tensors by value-vector; views alias the stored per-image storage).
-  static Tensor3D viewOf(const Tensor3D &T);
-
-  std::shared_ptr<const CompiledNet> Compiled;
-  ExecutionContextOptions Opts;
-  int64_t Capacity = 1;
-  std::unique_ptr<ThreadPool> Pool;
-
-  /// Conv instances bound once with the node's full (batched) scenario;
-  /// minibatch wrappers materialize their schedule here.
-  std::vector<std::unique_ptr<ConvInstance>> Instances;
-  /// Backing storage for arena-packed values: capacity() consecutive slabs
-  /// of the compile-time arena template (UseArena only).
-  AlignedBuffer Arena;
-  /// Per-value, per-image tensors of the current run, indexed
-  /// [ValueId][Image]; inner vectors hold K entries.
-  std::vector<std::vector<Tensor3D>> Values;
-  size_t CurBatch = 0;
-
-  /// Jitted artifacts: one generated per-image context, looped over the
-  /// batch; owned copies of its per-image outputs (the generated context
-  /// reuses one output tensor across runs).
-  void *JitCtx = nullptr;
-  std::vector<Tensor3D> JitOutputs;
-};
+using BatchExecutionContext = ExecutionContext;
 
 } // namespace primsel
 

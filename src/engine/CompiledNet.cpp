@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 #include "tensor/Transform.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -126,12 +127,17 @@ CompiledNet::newContext(const ExecutionContextOptions &Options) const {
 
 ExecutionContext::ExecutionContext(std::shared_ptr<const CompiledNet> CN,
                                    const ExecutionContextOptions &Options)
-    : Compiled(std::move(CN)), Opts(Options) {
+    : Compiled(std::move(CN)), Opts(Options),
+      Capacity(std::max<int64_t>(1, Compiled->Net.batch())) {
   const CompiledNet &C = *Compiled;
   if (Opts.Threads > 1)
     Pool = std::make_unique<ThreadPool>(Opts.Threads);
   if (Opts.UseArena)
-    Arena.reset(C.MPlan.ArenaFloats);
+    Arena.reset(C.MPlan.ArenaFloats * static_cast<size_t>(Capacity));
+
+  std::vector<NetworkGraph::NodeId> Outs = C.Net.outputs();
+  assert(!Outs.empty() && "network without outputs");
+  OutNode = Outs.front();
 
   Values.resize(C.MPlan.Values.size());
   Instances.resize(C.Net.numNodes());
@@ -139,9 +145,10 @@ ExecutionContext::ExecutionContext(std::shared_ptr<const CompiledNet> CN,
     const NetworkGraph::Node &Node = C.Net.node(N);
     if (isDummyKind(Node.L.Kind))
       continue;
-    // Cheap bind against the shared prepared kernel; the epilogue bias
-    // stream is regenerated from the same seed the one-shot path uses, so
-    // the computed function is identical.
+    // Cheap bind against the shared prepared kernel, with the node's full
+    // (possibly batched) scenario: minibatch wrappers materialize their
+    // schedule here. The epilogue bias stream is regenerated from the same
+    // seed the one-shot path uses, so the computed function is identical.
     Instances[N] = bindWithEpilogue(
         C.Lib.get(C.SelPlan.ConvPrim[N]), Node.Scenario, C.Prepared[N],
         C.Opts.WeightSeed + Node.BiasSeedId);
@@ -160,55 +167,59 @@ ExecutionContext::~ExecutionContext() {
     Compiled->Jit->destroyContext(JitCtx);
 }
 
-const Tensor3D &ExecutionContext::outputOf(NetworkGraph::NodeId N) const {
-  if (JitOut) {
+const Tensor3D &ExecutionContext::outputOf(NetworkGraph::NodeId N,
+                                           size_t Image) const {
+  assert(Image < CurBatch && "image index out of the last run's batch");
+  if (JitCtx) {
     // The generated program materializes only the network output; other
     // nodes' tensors live inside the jit context.
-    assert(!Compiled->Net.outputs().empty() &&
-           N == Compiled->Net.outputs().front() &&
-           "jitted contexts expose only the network output");
-    return *JitOut;
+    assert(N == OutNode && "jitted contexts expose only the network output");
+    return JitOutputs[Image];
   }
   const MemoryPlan &MPlan = Compiled->MPlan;
   assert((!Opts.UseArena || !MPlan.Values[MPlan.NodeValue[N]].inArena()) &&
          "arena mode recycles non-output intermediates; outputOf is only "
          "valid for network outputs");
-  return Values[MPlan.NodeValue[N]];
+  return Values[MPlan.NodeValue[N]][Image];
 }
 
-const Tensor3D &ExecutionContext::networkOutput() const {
-  std::vector<NetworkGraph::NodeId> Outs = Compiled->Net.outputs();
-  assert(!Outs.empty() && "network without outputs");
-  return outputOf(Outs.front());
+const Tensor3D &ExecutionContext::output(size_t Image) const {
+  return outputOf(OutNode, Image);
 }
 
-/// The tensor for value \p V: a view into this context's arena slab when
-/// the value is packed, a fresh owned allocation otherwise.
-Tensor3D ExecutionContext::makeValueTensor(ValueId V) {
+/// The tensor for value \p V of image \p Image: a view into that image's
+/// slab of this context's arena when the value is packed, a fresh owned
+/// allocation otherwise.
+Tensor3D ExecutionContext::makeValueTensor(ValueId V, size_t Image) {
   const ValueInfo &VI = Compiled->MPlan.Values[V];
   if (Opts.UseArena && VI.inArena())
     return Tensor3D(VI.Shape.C, VI.Shape.H, VI.Shape.W, VI.L,
-                    Arena.data() + VI.ArenaOffset);
+                    Arena.data() + Image * Compiled->MPlan.ArenaFloats +
+                        VI.ArenaOffset);
   return Tensor3D(VI.Shape.C, VI.Shape.H, VI.Shape.W, VI.L);
 }
 
-/// The tensor feeding input \p Index of \p Consumer, after any conversion
-/// chain.
-const Tensor3D &ExecutionContext::inputTensor(NetworkGraph::NodeId Consumer,
-                                              unsigned Index) {
+const std::vector<Tensor3D> &
+ExecutionContext::inputValues(NetworkGraph::NodeId Consumer,
+                              unsigned Index) const {
   return Values[Compiled->MPlan.inputValue(Compiled->Net, Consumer, Index)];
 }
 
-void primsel::detail::runDummyLayer(
-    const NetworkGraph::Node &Node,
-    const std::function<const Tensor3D &(unsigned)> &InputAt,
-    const AlignedBuffer &FcWeights, Tensor3D &Out, ThreadPool *PrimPool) {
+/// The one non-conv layer interpreter: run node \p N's operator for image
+/// \p Image into \p Out, then apply any fused epilogue in place.
+void ExecutionContext::runDummy(NetworkGraph::NodeId N, size_t Image,
+                                Tensor3D &Out, ThreadPool *PrimPool) {
+  const NetworkGraph::Node &Node = Compiled->Net.node(N);
+  const AlignedBuffer &Weights = Compiled->FcWeights[N];
+  auto InputAt = [&](unsigned I) -> const Tensor3D & {
+    return inputValues(N, I)[Image];
+  };
   switch (Node.L.Kind) {
   case LayerKind::ReLU:
     reluOp(InputAt(0), Out);
     break;
   case LayerKind::Bias:
-    biasOp(FcWeights.data(), InputAt(0), Out);
+    biasOp(Weights.data(), InputAt(0), Out);
     break;
   case LayerKind::Dropout:
     identityOp(InputAt(0), Out);
@@ -239,7 +250,7 @@ void primsel::detail::runDummyLayer(
     globalAvgPoolOp(InputAt(0), Out);
     break;
   case LayerKind::FullyConnected:
-    fullyConnectedOp(FcWeights.data(), InputAt(0), Out, PrimPool);
+    fullyConnectedOp(Weights.data(), InputAt(0), Out, PrimPool);
     break;
   case LayerKind::Input:
   case LayerKind::Conv:
@@ -254,104 +265,114 @@ void primsel::detail::runDummyLayer(
     applyEpilogue(Node.L.Epi, nullptr, Out);
 }
 
-void ExecutionContext::runDummy(const NetworkGraph::Node &Node,
-                                NetworkGraph::NodeId N, Tensor3D &Out,
-                                ThreadPool *PrimPool) {
-  detail::runDummyLayer(
-      Node, [&](unsigned I) -> const Tensor3D & { return inputTensor(N, I); },
-      Compiled->FcWeights[N], Out, PrimPool);
-}
-
-void ExecutionContext::executeStep(unsigned StepIndex, const Tensor3D &Input,
+void ExecutionContext::executeStep(unsigned StepIndex,
+                                   const Tensor3D *const *Inputs,
                                    RunResult &R, ThreadPool *PrimPool) {
   const CompiledNet &C = *Compiled;
   const ExecStep &Step = C.Program.steps()[StepIndex];
-  const NetworkGraph::Node &Node = C.Net.node(Step.Node);
+  ValueId V = C.MPlan.Produced[StepIndex];
+  std::vector<Tensor3D> &Produced = Values[V];
+  Produced.resize(CurBatch);
+  for (size_t I = 0; I < CurBatch; ++I)
+    Produced[I] = makeValueTensor(V, I);
+
+  Timer T;
   switch (Step.K) {
-  case ExecStep::Kind::Input: {
-    assert(Input.layout() == C.SelPlan.OutLayout[Step.Node] &&
-           "network input must arrive in the canonical layout");
-    assert(Input.channels() == Node.OutShape.C &&
-           Input.height() == Node.OutShape.H &&
-           Input.width() == Node.OutShape.W && "input shape mismatch");
-    Tensor3D Copy = makeValueTensor(C.MPlan.Produced[StepIndex]);
-    std::memcpy(Copy.data(), Input.data(),
-                static_cast<size_t>(Input.size()) * sizeof(float));
-    Values[C.MPlan.Produced[StepIndex]] = std::move(Copy);
+  case ExecStep::Kind::Input:
+    for (size_t I = 0; I < CurBatch; ++I) {
+      const Tensor3D &In = *Inputs[I];
+      assert(In.layout() == C.SelPlan.OutLayout[Step.Node] &&
+             "network input must arrive in the canonical layout");
+      assert(In.sameShape(Produced[I]) && "input shape mismatch");
+      std::memcpy(Produced[I].data(), In.data(),
+                  static_cast<size_t>(In.size()) * sizeof(float));
+    }
     break;
-  }
 
   case ExecStep::Kind::Transform: {
-    const Tensor3D &Src = Values[C.MPlan.TransformSrc[StepIndex]];
-    assert(Src.layout() == Step.From && "chain out of sync");
-    Tensor3D Dst = makeValueTensor(C.MPlan.Produced[StepIndex]);
-    Timer T;
-    runTransform(Src, Dst);
+    const std::vector<Tensor3D> &Src = Values[C.MPlan.TransformSrc[StepIndex]];
+    for (size_t I = 0; I < CurBatch; ++I) {
+      assert(Src[I].layout() == Step.From && "chain out of sync");
+      runTransform(Src[I], Produced[I]);
+    }
     R.TransformMillis += T.millis();
-    Values[C.MPlan.Produced[StepIndex]] = std::move(Dst);
     break;
   }
 
   case ExecStep::Kind::Conv: {
-    const Tensor3D &In = inputTensor(Step.Node, 0);
-    Tensor3D Out = makeValueTensor(C.MPlan.Produced[StepIndex]);
     RunContext Ctx{PrimPool};
     // The plan's per-node worker count (the solver's thread-count
     // dimension) caps this node's intra-op parallelism; capping never
     // changes results, only speed. Plans without a thread axis leave the
     // historical behaviour untouched: the context's whole pool is usable.
+    // The @bpar schedule distributes images over the pool itself and runs
+    // each image single-threaded.
     if (!C.SelPlan.ConvThreads.empty())
       Ctx.MaxThreads = static_cast<int>(C.SelPlan.convThreads(Step.Node));
-    Timer T;
-    Instances[Step.Node]->run(In, Out, Ctx);
+    Instances[Step.Node]->runBatch(inputValues(Step.Node, 0), Produced, Ctx);
     R.ConvMillis += T.millis();
-    Values[C.MPlan.Produced[StepIndex]] = std::move(Out);
     break;
   }
 
-  case ExecStep::Kind::Dummy: {
-    Tensor3D Out = makeValueTensor(C.MPlan.Produced[StepIndex]);
-    Timer T;
-    runDummy(Node, Step.Node, Out, PrimPool);
+  case ExecStep::Kind::Dummy:
+    for (size_t I = 0; I < CurBatch; ++I)
+      runDummy(Step.Node, I, Produced[I], PrimPool);
     R.OtherMillis += T.millis();
-    Values[C.MPlan.Produced[StepIndex]] = std::move(Out);
     break;
-  }
   }
 }
 
 RunResult ExecutionContext::run(const Tensor3D &Input) {
+  const Tensor3D *One = &Input;
+  return runImages(&One, 1);
+}
+
+RunResult ExecutionContext::run(const std::vector<const Tensor3D *> &Inputs) {
+  return runImages(Inputs.data(), Inputs.size());
+}
+
+RunResult ExecutionContext::runImages(const Tensor3D *const *Inputs,
+                                      size_t K) {
+  assert(K >= 1 && static_cast<int64_t>(K) <= Capacity &&
+         "batch must hold 1..capacity() images");
   RunResult R;
   Timer Total;
+  CurBatch = K;
 
-  // Jitted path: one call into the generated straight-line program -- no
-  // per-step dispatch, timing or allocation. Bit-identical to the
+  // Jitted path: the generated per-image straight-line program, looped --
+  // no per-step dispatch, timing or allocation. Bit-identical to the
   // interpreted pass below by construction (same primitives, same bound
   // instances, same layer operators, same seeds).
   if (JitCtx) {
-    JitOut = &Compiled->Jit->run(JitCtx, Input, Pool.get());
+    for (size_t I = 0; I < K; ++I) {
+      const Tensor3D &O = Compiled->Jit->run(JitCtx, *Inputs[I], Pool.get());
+      if (JitOutputs.size() == I)
+        JitOutputs.emplace_back(O.channels(), O.height(), O.width(),
+                                O.layout());
+      std::memcpy(JitOutputs[I].data(), O.data(),
+                  static_cast<size_t>(O.size()) * sizeof(float));
+    }
     R.TotalMillis = Total.millis();
     return R;
   }
 
-  const MemoryPlan &MPlan = Compiled->MPlan;
-
   // Levels in order; a level's steps only read values defined in earlier
   // levels, so within a level any order -- including concurrent -- is
   // valid, and the arena packing (level-granular lifetimes) stays sound.
+  // Image I only ever touches slab I, so the same holds per image.
   bool Parallel = Opts.ParallelBranches && Pool && Pool->numThreads() > 1;
   ThreadPool *PrimPool = Parallel ? nullptr : Pool.get();
   if (!Parallel) {
-    for (const std::vector<unsigned> &Level : MPlan.Levels)
+    for (const std::vector<unsigned> &Level : Compiled->MPlan.Levels)
       for (unsigned StepIndex : Level)
-        executeStep(StepIndex, Input, R, PrimPool);
+        executeStep(StepIndex, Inputs, R, PrimPool);
   } else {
     std::mutex Merge;
-    for (const std::vector<unsigned> &Level : MPlan.Levels) {
+    for (const std::vector<unsigned> &Level : Compiled->MPlan.Levels) {
       Pool->parallelFor(0, static_cast<int64_t>(Level.size()),
                         [&](int64_t I) {
                           RunResult Local;
-                          executeStep(Level[static_cast<size_t>(I)], Input,
+                          executeStep(Level[static_cast<size_t>(I)], Inputs,
                                       Local, nullptr);
                           std::lock_guard<std::mutex> Lock(Merge);
                           R.ConvMillis += Local.ConvMillis;

@@ -20,12 +20,16 @@
 ///  - the fully-connected weight matrices and standalone bias vectors.
 ///
 /// It is immutable after build() and safe to share across threads. The
-/// per-request state lives in ExecutionContext: its own arena slab, value
-/// table, thread pool and cheaply-bound ConvInstances (instances carry
-/// per-run scratch, so each context binds its own from the shared
-/// PreparedKernels). Any number of contexts serve one CompiledNet
-/// concurrently, and each computes bit-identically to the sequential
-/// Executor -- which is itself implemented as one CompiledNet plus one
+/// per-request state lives in ExecutionContext, the one interpreter of the
+/// compiled plan: its own arena slabs, value table, thread pool and
+/// cheaply-bound ConvInstances (instances carry per-run scratch, so each
+/// context binds its own from the shared PreparedKernels). A context runs
+/// 1 <= K <= capacity() images per pass, where capacity() is the batch the
+/// artifact was solved at -- a batch-1 artifact is served one image at a
+/// time, a ladder bucket (engine/Ladder.h) K at a time through the §8
+/// minibatch schedules its plan picked. Any number of contexts serve one
+/// CompiledNet concurrently, and each computes bit-identically to the
+/// sequential Executor -- which is itself one CompiledNet plus one
 /// ExecutionContext, so there is exactly one execution path to trust.
 ///
 //===----------------------------------------------------------------------===//
@@ -36,13 +40,10 @@
 #include "core/Plan.h"
 #include "jit/JitRuntime.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/Executor.h" // RunResult; the Executor facade forward-
-                              // declares this header's types, so no cycle
 #include "runtime/MemoryPlanner.h"
 #include "support/AlignedBuffer.h"
 #include "tensor/Tensor.h"
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -50,7 +51,14 @@ namespace primsel {
 
 class ThreadPool;
 class ExecutionContext;
-class BatchExecutionContext;
+
+/// Per-run timing breakdown.
+struct RunResult {
+  double TotalMillis = 0.0;
+  double ConvMillis = 0.0;
+  double TransformMillis = 0.0;
+  double OtherMillis = 0.0; ///< dummy layers
+};
 
 /// Compile-time knobs of a CompiledNet.
 struct CompileOptions {
@@ -69,15 +77,18 @@ struct CompileOptions {
   jit::JitOptions JitOpts;
 };
 
-/// Per-context (per-request/per-thread) execution knobs; the runtime
-/// subset of ExecutorOptions.
+/// Per-context (per-request/per-thread) execution knobs.
 struct ExecutionContextOptions {
-  /// Pool width for this context. With ParallelBranches off the pool
-  /// parallelizes within each primitive; with it on, independent steps of
-  /// a level run concurrently and primitives execute single-threaded.
+  /// Pool width for this context. 1 reproduces the paper's
+  /// single-threaded rows. With ParallelBranches off the pool parallelizes
+  /// within each primitive (or, for @bpar layers, across the batch's
+  /// images); with it on, independent steps of a level run concurrently
+  /// and primitives execute single-threaded.
   unsigned Threads = 1;
-  /// Back intermediates with this context's own slab of the compile-time
-  /// arena layout instead of per-value allocations.
+  /// Back intermediates with this context's own slabs of the compile-time
+  /// arena layout (one per image of capacity()) instead of per-value
+  /// allocations. Network outputs stay individually allocated (they must
+  /// survive the run), so outputOf() on other nodes is unavailable.
   bool UseArena = false;
   /// Run independent steps of each dependence level concurrently
   /// (effective when Threads > 1).
@@ -135,7 +146,6 @@ public:
 
 private:
   friend class ExecutionContext;
-  friend class BatchExecutionContext;
 
   CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
               const PrimitiveLibrary &LibIn, const CompileOptions &Options);
@@ -160,13 +170,26 @@ private:
   jit::JitReport JitRep;
 };
 
-/// The lightweight per-request half: binds instances from the shared
-/// PreparedKernels, owns its arena slab/value table/pool, and interprets
-/// the compiled program. Not thread-safe itself -- one context per serving
-/// thread -- but independent contexts never share mutable state, so they
-/// run concurrently and bit-identically to the sequential executor.
+/// The lightweight per-request half and the one interpreter of the
+/// compiled program: binds instances from the shared PreparedKernels, owns
+/// its arena slabs/value table/pool, and carries K images through each
+/// step of the plan, dispatching every conv step once through
+/// ConvInstance::runBatch. The default runBatch loops run(), so K = 1 on a
+/// batch-1 artifact is the plain single-image pass; on a bucket artifact
+/// the minibatch wrappers execute the @bser/@bpar schedule the solver
+/// picked. Transforms and non-conv layers run per image through the
+/// single-image operators, so outputs are bit-identical to the sequential
+/// Executor, image by image, at every K.
+///
+/// Not thread-safe itself -- one context per serving thread -- but
+/// independent contexts never share mutable state, so they run
+/// concurrently. Jitted artifacts loop the K images through one generated
+/// context (the generated program is a per-image pass).
 class ExecutionContext {
 public:
+  /// \p Compiled may be any artifact: a batch-1 plan yields a capacity-1
+  /// context, a batch-bucket artifact (its graph solved at
+  /// Scenario.Batch == B) a capacity-B one.
   ExecutionContext(std::shared_ptr<const CompiledNet> Compiled,
                    const ExecutionContextOptions &Options);
   ~ExecutionContext();
@@ -174,67 +197,74 @@ public:
   ExecutionContext(const ExecutionContext &) = delete;
   ExecutionContext &operator=(const ExecutionContext &) = delete;
 
-  /// One forward pass. \p Input must be CHW with the input layer's shape.
+  /// The compiled batch size, max(1, graph().batch()): the largest K
+  /// run() accepts.
+  int64_t capacity() const { return Capacity; }
+
+  /// One forward pass of one image. \p Input must be CHW with the input
+  /// layer's shape.
   RunResult run(const Tensor3D &Input);
+  /// One forward pass over \p Inputs (1 <= K <= capacity(); asserted),
+  /// each CHW with the per-image input shape and borrowed for the call.
+  /// Partial batches are first-class: K < capacity() runs K images.
+  RunResult run(const std::vector<const Tensor3D *> &Inputs);
 
-  /// Output tensor of node \p N from the most recent run(). In arena mode,
-  /// only valid for network outputs (asserted): other nodes' bytes are
-  /// recycled during the pass.
-  const Tensor3D &outputOf(NetworkGraph::NodeId N) const;
-
-  /// Output tensor of the network's (first) output node.
-  const Tensor3D &networkOutput() const;
+  /// Output tensor of node \p N for image \p Image of the most recent
+  /// run. In arena mode, only valid for network outputs (asserted): other
+  /// nodes' bytes are recycled during the pass.
+  const Tensor3D &outputOf(NetworkGraph::NodeId N, size_t Image = 0) const;
+  /// The network's (first) output for image \p Image of the most recent
+  /// run; valid until the next run on this context.
+  const Tensor3D &output(size_t Image) const;
+  const Tensor3D &networkOutput() const { return output(0); }
 
   const CompiledNet &compiled() const { return *Compiled; }
   const ExecutionContextOptions &options() const { return Opts; }
 
-  /// Bytes of this context's arena slab (0 when UseArena is off).
+  /// Bytes of this context's arena: capacity() slabs of the compile-time
+  /// template (0 when UseArena is off).
   size_t arenaBytes() const { return Arena.size() * sizeof(float); }
 
 private:
-  void executeStep(unsigned StepIndex, const Tensor3D &Input, RunResult &R,
-                   ThreadPool *PrimPool);
-  void runDummy(const NetworkGraph::Node &Node, NetworkGraph::NodeId N,
-                Tensor3D &Out, ThreadPool *PrimPool);
-  Tensor3D makeValueTensor(ValueId V);
-  const Tensor3D &inputTensor(NetworkGraph::NodeId Consumer, unsigned Index);
+  RunResult runImages(const Tensor3D *const *Inputs, size_t K);
+  void executeStep(unsigned StepIndex, const Tensor3D *const *Inputs,
+                   RunResult &R, ThreadPool *PrimPool);
+  void runDummy(NetworkGraph::NodeId N, size_t Image, Tensor3D &Out,
+                ThreadPool *PrimPool);
+  Tensor3D makeValueTensor(ValueId V, size_t Image);
+  /// Per-image tensors of the value feeding input \p Index of \p Consumer,
+  /// after any conversion chain.
+  const std::vector<Tensor3D> &inputValues(NetworkGraph::NodeId Consumer,
+                                           unsigned Index) const;
 
   std::shared_ptr<const CompiledNet> Compiled;
   ExecutionContextOptions Opts;
+  int64_t Capacity = 1;
   std::unique_ptr<ThreadPool> Pool;
+  /// The network's (first) output node, resolved once.
+  NetworkGraph::NodeId OutNode = 0;
+
+  /// Conv instances bound once with the node's full scenario, indexed by
+  /// node. Binding is cheap (no weight work); instances hold this
+  /// context's per-run scratch, and minibatch wrappers materialize their
+  /// schedule here.
+  std::vector<std::unique_ptr<ConvInstance>> Instances;
+  /// Backing storage for arena-packed values: capacity() consecutive
+  /// slabs of the compile-time arena template (UseArena only).
+  AlignedBuffer Arena;
+  /// Per-run tensors indexed [ValueId][Image] (node outputs and chain
+  /// hops); inner vectors hold the current run's K entries.
+  std::vector<std::vector<Tensor3D>> Values;
+  size_t CurBatch = 0;
 
   /// Generated-code context when the artifact is jitted (null otherwise
   /// or when its creation failed -- then this context interprets).
   /// ParallelBranches does not apply to the straight-line program.
   void *JitCtx = nullptr;
-  /// The jit context's output tensor after the latest jitted run().
-  const Tensor3D *JitOut = nullptr;
-
-  /// Conv instances bound from the shared prepared kernels, indexed by
-  /// node. Binding is cheap (no weight work); instances hold this
-  /// context's per-run scratch.
-  std::vector<std::unique_ptr<ConvInstance>> Instances;
-  /// Backing storage for arena-packed values (UseArena only).
-  AlignedBuffer Arena;
-  /// Per-run tensors, indexed by ValueId (node outputs and chain hops).
-  std::vector<Tensor3D> Values;
+  /// Copies of the jitted per-image outputs (the generated context reuses
+  /// one output tensor across runs); sized on first use, then reused.
+  std::vector<Tensor3D> JitOutputs;
 };
-
-namespace detail {
-
-/// The one shared non-conv layer interpreter: run \p Node's operator over
-/// the inputs \p InputAt yields (by consumer input index) into \p Out,
-/// then apply any fused epilogue in place. \p FcWeights is the node's
-/// weight/bias buffer (FullyConnected / standalone Bias; ignored by other
-/// kinds). Both the single-image ExecutionContext and the batched
-/// BatchExecutionContext dispatch through this function, so there is
-/// exactly one dummy-layer execution path to trust.
-void runDummyLayer(const NetworkGraph::Node &Node,
-                   const std::function<const Tensor3D &(unsigned)> &InputAt,
-                   const AlignedBuffer &FcWeights, Tensor3D &Out,
-                   ThreadPool *PrimPool);
-
-} // namespace detail
 
 } // namespace primsel
 

@@ -39,18 +39,15 @@
 #include "codegen/CodeGen.h"
 #include "core/Selector.h"
 #include "core/Strategies.h"
-#include "engine/CompiledNet.h"
 #include "engine/Ladder.h"
 #include "engine/PlanCache.h"
 #include "pbqp/SolverBackend.h"
+#include "runtime/Executor.h"
 
 #include <memory>
 #include <string>
 
 namespace primsel {
-
-class Executor;
-struct ExecutorOptions;
 
 /// Configuration of an Engine.
 struct EngineOptions {

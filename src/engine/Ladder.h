@@ -15,12 +15,13 @@
 /// key so buckets never mix.
 ///
 /// Dispatch rule (serve/Server.h): a coalesced batch of K requests runs on
-/// the smallest *resident* bucket >= K through one BatchExecutionContext.
-/// When the ideal bucket is missing, the server falls back to the
-/// per-slot batch-1 path for that batch -- never blocking the request path
-/// on a PBQP solve -- and the ladder's background thread compiles the
-/// bucket warm from the shared PlanCache; the rung is picked up at the
-/// next batch boundary.
+/// the smallest *resident* bucket >= K as one K-image pass of an
+/// ExecutionContext bound to that bucket's artifact. When the ideal bucket
+/// is missing, the server falls back to the per-slot batch-1 path for that
+/// batch -- never blocking the request path on a PBQP solve -- and the
+/// ladder's background thread compiles the bucket warm from the shared
+/// PlanCache; the rung is picked up at the next batch boundary. Evicting a
+/// rung releases the servers' cached contexts on it at their next batch.
 ///
 /// Every bucket's per-image outputs are bit-identical to the sequential
 /// Executor: bucket solves are restricted to the anchor (batch-1) plan's
@@ -56,15 +57,15 @@ struct LadderOptions {
   std::vector<int64_t> Buckets;
   /// Largest bucket when Buckets is empty.
   int64_t MaxBatch = 8;
-  /// Knobs for every bucket's artifact (a bucket can be jitted like any
-  /// other CompiledNet: the generated program is per-image and the batch
-  /// context loops it).
-  bool Background = true;
   /// With Background, missing buckets compile on a ladder-owned thread,
   /// off the request path (bucket 1 is always compiled synchronously so
   /// serving can start immediately). Without it, every bucket compiles
   /// synchronously inside compileLadder -- the fleet uses this so budget
   /// accounting sees the whole ladder at once.
+  bool Background = true;
+  /// Knobs for every bucket's artifact (a bucket can be jitted like any
+  /// other CompiledNet: the generated program is per-image and the
+  /// context loops it over the batch).
   CompileOptions Compile;
 };
 

@@ -1,79 +1,33 @@
 //===- runtime/Executor.cpp -----------------------------------------------===//
 //
-// The Executor facade: one CompiledNet (the compile phase) plus one
-// ExecutionContext (the run phase). All execution machinery lives in
-// engine/CompiledNet.cpp, so the one-shot path and the many-context
-// serving path are the same code.
+// The Executor: one ExecutionContext over a CompiledNet it builds itself.
+// All execution machinery lives in engine/CompiledNet.cpp, so the one-shot
+// path and the many-context serving path are the same code.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Executor.h"
 
-#include "engine/CompiledNet.h"
-
 using namespace primsel;
 
 namespace {
 
-ExecutionContextOptions contextOptions(const ExecutorOptions &O) {
-  ExecutionContextOptions C;
-  C.Threads = O.Threads;
-  C.UseArena = O.UseArena;
-  C.ParallelBranches = O.ParallelBranches;
-  return C;
+ExecutorOptions withThreads(unsigned Threads, uint64_t WeightSeed) {
+  ExecutorOptions O;
+  O.Threads = Threads;
+  O.WeightSeed = WeightSeed;
+  return O;
 }
 
 } // namespace
 
-Executor::Executor(const NetworkGraph &Net, const NetworkPlan &PlanIn,
+Executor::Executor(const NetworkGraph &Net, const NetworkPlan &Plan,
                    const PrimitiveLibrary &Lib, unsigned Threads,
                    uint64_t WeightSeed)
-    : Executor(Net, PlanIn, Lib, [&] {
-        ExecutorOptions O;
-        O.Threads = Threads;
-        O.WeightSeed = WeightSeed;
-        return O;
-      }()) {}
+    : Executor(Net, Plan, Lib, withThreads(Threads, WeightSeed)) {}
 
-Executor::Executor(const NetworkGraph &Net, const NetworkPlan &PlanIn,
-                   const PrimitiveLibrary &Lib,
-                   const ExecutorOptions &Options)
-    : Opts(Options) {
-  CompileOptions COpts;
-  COpts.WeightSeed = Opts.WeightSeed;
-  Compiled = CompiledNet::build(Net, PlanIn, Lib, COpts);
-  Ctx = Compiled->newContext(contextOptions(Opts));
-}
-
-Executor::Executor(std::shared_ptr<const CompiledNet> CompiledIn,
-                   const ExecutorOptions &Options)
-    : Opts(Options), Compiled(std::move(CompiledIn)) {
-  Opts.WeightSeed = Compiled->options().WeightSeed;
-  Ctx = Compiled->newContext(contextOptions(Opts));
-}
-
-Executor::~Executor() = default;
-
-RunResult Executor::run(const Tensor3D &Input) { return Ctx->run(Input); }
-
-const Tensor3D &Executor::outputOf(NetworkGraph::NodeId N) const {
-  return Ctx->outputOf(N);
-}
-
-const Tensor3D &Executor::networkOutput() const {
-  return Ctx->networkOutput();
-}
-
-const ExecutionPlan &Executor::plan() const { return Compiled->program(); }
-
-const MemoryPlan &Executor::memoryPlan() const {
-  return Compiled->memoryPlan();
-}
-
-size_t Executor::arenaBytes() const { return Ctx->arenaBytes(); }
-
-size_t Executor::peakIntermediateBytes() const {
-  const MemoryPlan &MPlan = Compiled->memoryPlan();
-  return Opts.UseArena ? arenaBytes() + MPlan.persistentBytes()
-                       : MPlan.BaselineBytes;
-}
+Executor::Executor(const NetworkGraph &Net, const NetworkPlan &Plan,
+                   const PrimitiveLibrary &Lib, const ExecutorOptions &Options)
+    : ExecutionContext(CompiledNet::build(Net, Plan, Lib,
+                                          CompileOptions{Options.WeightSeed}),
+                       Options) {}

@@ -13,12 +13,13 @@
 /// is how whole-network correctness is verified (a PBQP-instantiated
 /// network must produce the sum2d network's output).
 ///
-/// Since the compile/run split the Executor is a facade over the serving
-/// stack's two-phase machinery (engine/CompiledNet.h): construction builds
-/// a private CompiledNet (weight generation, prepare-time kernel packing,
-/// memory planning) plus one ExecutionContext, and run() delegates to the
-/// context -- so the one-shot Executor and a many-context serving setup
-/// share a single execution path and are bit-identical by construction.
+/// The Executor is an ExecutionContext (engine/CompiledNet.h) whose
+/// constructors first build the private CompiledNet it runs (weight
+/// generation, prepare-time kernel packing, memory planning) -- so the
+/// one-shot Executor and a many-context serving setup share a single
+/// execution path and are bit-identical by construction. compiled()
+/// exposes the artifact; compiled().newContext() serves the same
+/// instantiation from additional contexts/threads.
 ///
 /// The executor always runs the MemoryPlanner's level schedule (levels in
 /// order; steps within a level are independent). Two serving-oriented
@@ -36,54 +37,20 @@
 #ifndef PRIMSEL_RUNTIME_EXECUTOR_H
 #define PRIMSEL_RUNTIME_EXECUTOR_H
 
-#include "core/Plan.h"
-#include "runtime/ExecutionPlan.h"
-#include "runtime/MemoryPlanner.h"
-#include "support/AlignedBuffer.h"
+#include "engine/CompiledNet.h"
 #include "support/ThreadPool.h"
-#include "tensor/Tensor.h"
-
-#include <memory>
-#include <vector>
 
 namespace primsel {
 
-class CompiledNet;
-class ExecutionContext;
-
-/// Per-run timing breakdown.
-struct RunResult {
-  double TotalMillis = 0.0;
-  double ConvMillis = 0.0;
-  double TransformMillis = 0.0;
-  double OtherMillis = 0.0; ///< dummy layers
-};
-
-/// Configuration of an Executor.
-struct ExecutorOptions {
-  /// Pool width. 1 reproduces the paper's single-threaded rows. With
-  /// ParallelBranches off, the pool parallelizes within each primitive;
-  /// with it on, the pool runs independent steps of a level concurrently
-  /// and primitives execute single-threaded.
-  unsigned Threads = 1;
+/// Configuration of an Executor: the context knobs plus the weight seed of
+/// the CompiledNet it builds.
+struct ExecutorOptions : ExecutionContextOptions {
   /// Seed for the deterministic per-layer weights.
   uint64_t WeightSeed = 7;
-  /// Back intermediate tensors with the memory-planned arena instead of
-  /// per-layer allocations. Network outputs stay individually allocated
-  /// (they must survive the run); outputOf() on non-output nodes is not
-  /// available in this mode because their bytes are recycled.
-  bool UseArena = false;
-  /// Run independent steps of each dependence level concurrently.
-  /// Effective when Threads > 1.
-  bool ParallelBranches = false;
 };
 
-/// One-shot facade over the compile/run split: construction compiles a
-/// private CompiledNet (weight generation, primitive prepare/packing,
-/// memory planning) and opens one ExecutionContext (arena allocation,
-/// instance binding); run() performs and times one forward pass on that
-/// context.
-class Executor {
+/// One-shot execution: a context over a CompiledNet of its own.
+class Executor final : public ExecutionContext {
 public:
   /// \param Threads 1 reproduces the paper's single-threaded rows; more
   /// threads use a shared pool across all primitives.
@@ -92,45 +59,15 @@ public:
            uint64_t WeightSeed = 7);
   Executor(const NetworkGraph &Net, const NetworkPlan &Plan,
            const PrimitiveLibrary &Lib, const ExecutorOptions &Options);
-  /// Open a one-shot view over an already-compiled artifact (no weight
-  /// work happens here; Options.WeightSeed is ignored -- the artifact's
-  /// baked-in seed governs).
-  Executor(std::shared_ptr<const CompiledNet> Compiled,
-           const ExecutorOptions &Options);
-  ~Executor();
 
-  /// One forward pass. \p Input must be CHW with the input layer's shape.
-  RunResult run(const Tensor3D &Input);
-
-  /// Output tensor of node \p N from the most recent run(). In arena mode,
-  /// only valid for network outputs (asserted): other nodes' bytes are
-  /// recycled during the pass.
-  const Tensor3D &outputOf(NetworkGraph::NodeId N) const;
-
-  /// Output tensor of the network's (first) output node.
-  const Tensor3D &networkOutput() const;
-
-  const ExecutionPlan &plan() const;
-  const MemoryPlan &memoryPlan() const;
-  const ExecutorOptions &options() const { return Opts; }
-
-  /// The underlying immutable artifact; share it to serve the same
-  /// instantiation from additional contexts/threads.
-  const std::shared_ptr<const CompiledNet> &compiled() const {
-    return Compiled;
-  }
-
-  /// Bytes of the arena backing intermediates (0 when UseArena is off).
-  size_t arenaBytes() const;
   /// Peak intermediate footprint of this configuration: the arena extent
   /// plus persistent outputs in arena mode, every value's allocation
   /// otherwise.
-  size_t peakIntermediateBytes() const;
-
-private:
-  ExecutorOptions Opts;
-  std::shared_ptr<const CompiledNet> Compiled;
-  std::unique_ptr<ExecutionContext> Ctx;
+  size_t peakIntermediateBytes() const {
+    const MemoryPlan &MPlan = compiled().memoryPlan();
+    return options().UseArena ? arenaBytes() + MPlan.persistentBytes()
+                              : MPlan.BaselineBytes;
+  }
 };
 
 } // namespace primsel

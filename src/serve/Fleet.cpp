@@ -439,10 +439,10 @@ void FleetServer::laneLoop(Lane &L) {
   std::shared_ptr<const CompiledNet> Snap;
   std::vector<std::unique_ptr<ExecutionContext>> Slots;
 
-  // Ladder mode: one batched context per bucket, revalidated against the
-  // rung's artifact inside executeBatchLadder (so bucket eviction and
+  // Ladder mode: one context per bucket, revalidated against the ladder's
+  // resident rungs inside executeBatchLadder (so bucket eviction and
   // ladder replacement rebind at the next batch boundary, same as Slots).
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> BucketContexts;
+  std::map<int64_t, std::unique_ptr<ExecutionContext>> BucketContexts;
   ExecutionContextOptions LadderOpts;
   LadderOpts.Threads = PoolWidth;
   LadderOpts.UseArena = Opts.UseArena;
@@ -454,13 +454,8 @@ void FleetServer::laneLoop(Lane &L) {
       // Evicted past the budget (or registry failure): fail the batch
       // cleanly rather than stall the lane.
       TimeNs NowNs = Clk.now();
-      for (BatchRequest &Rq : B.Requests) {
-        ServeResponse Resp;
-        Resp.Status = ServeStatus::RejectedModelUnavailable;
-        Resp.QueueNs = B.FormedNs - Rq.ArrivalNs;
-        Resp.TotalNs = NowNs - Rq.ArrivalNs;
-        Rq.Done.set_value(std::move(Resp));
-      }
+      for (BatchRequest &Rq : B.Requests)
+        respond(Rq, B, NowNs, ServeStatus::RejectedModelUnavailable);
       L.UnavailableBatches.fetch_add(1, std::memory_order_relaxed);
       L.UnavailableRequests.fetch_add(B.Requests.size(),
                                       std::memory_order_relaxed);

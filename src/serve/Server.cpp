@@ -4,23 +4,33 @@
 
 #include "support/ThreadPool.h"
 
+#include <cassert>
 #include <cstring>
 
 using namespace primsel;
 using namespace primsel::serve;
 
-namespace {
-
-/// Deep copy of a tensor (slot contexts are reused across batches, so the
-/// response must own its bytes).
-Tensor3D cloneTensor(const Tensor3D &T) {
-  Tensor3D Out(T.channels(), T.height(), T.width(), T.layout());
-  std::memcpy(Out.data(), T.data(),
-              static_cast<size_t>(T.size()) * sizeof(float));
-  return Out;
+void primsel::serve::respond(BatchRequest &Rq, const Batch &B, TimeNs DoneNs,
+                             ServeStatus Status, const Tensor3D *Output,
+                             std::atomic<uint64_t> *DeadlineMisses) {
+  ServeResponse Resp;
+  Resp.Status = Status;
+  Resp.QueueNs = B.FormedNs - Rq.ArrivalNs;
+  Resp.TotalNs = DoneNs - Rq.ArrivalNs;
+  if (Status == ServeStatus::Ok) {
+    // Contexts are reused across batches, so the response owns a copy.
+    assert(Output && "an Ok response carries an output");
+    Resp.Output = Tensor3D(Output->channels(), Output->height(),
+                           Output->width(), Output->layout());
+    std::memcpy(Resp.Output.data(), Output->data(),
+                static_cast<size_t>(Output->size()) * sizeof(float));
+    Resp.BatchSize = static_cast<unsigned>(B.size());
+    Resp.MissedDeadline = Rq.DeadlineNs != 0 && DoneNs > Rq.DeadlineNs;
+    if (Resp.MissedDeadline && DeadlineMisses)
+      DeadlineMisses->fetch_add(1, std::memory_order_relaxed);
+  }
+  Rq.Done.set_value(std::move(Resp));
 }
-
-} // namespace
 
 void primsel::serve::executeBatch(
     const std::shared_ptr<const CompiledNet> &Net, Batch &B,
@@ -32,20 +42,11 @@ void primsel::serve::executeBatch(
     Slots.push_back(Net->newContext(CtxOpts));
 
   SlotPool.parallelFor(0, static_cast<int64_t>(K), [&](int64_t I) {
+    ExecutionContext &Slot = *Slots[static_cast<size_t>(I)];
     BatchRequest &Rq = B.Requests[static_cast<size_t>(I)];
-    Slots[static_cast<size_t>(I)]->run(*Rq.Input);
-
-    ServeResponse Resp;
-    Resp.Status = ServeStatus::Ok;
-    Resp.Output = cloneTensor(Slots[static_cast<size_t>(I)]->networkOutput());
-    Resp.BatchSize = static_cast<unsigned>(K);
-    Resp.QueueNs = B.FormedNs - Rq.ArrivalNs;
-    TimeNs DoneNs = Clk.now();
-    Resp.TotalNs = DoneNs - Rq.ArrivalNs;
-    Resp.MissedDeadline = Rq.DeadlineNs != 0 && DoneNs > Rq.DeadlineNs;
-    if (Resp.MissedDeadline)
-      DeadlineMisses.fetch_add(1, std::memory_order_relaxed);
-    Rq.Done.set_value(std::move(Resp));
+    Slot.run(*Rq.Input);
+    respond(Rq, B, Clk.now(), ServeStatus::Ok, &Slot.networkOutput(),
+            &DeadlineMisses);
   });
 
   // Release slot contexts (and their arena slabs) an oversized batch grew
@@ -56,23 +57,31 @@ void primsel::serve::executeBatch(
 
 bool primsel::serve::executeBatchLadder(
     CompiledNetLadder &Ladder, Batch &B,
-    std::map<int64_t, std::unique_ptr<BatchExecutionContext>> &Contexts,
+    std::map<int64_t, std::unique_ptr<ExecutionContext>> &Contexts,
     const ExecutionContextOptions &CtxOpts, Clock &Clk,
     std::atomic<uint64_t> &DeadlineMisses) {
+  // Drop contexts of evicted or recompiled rungs: an idle bucket's context
+  // must not pin the kernels and arena slabs the ladder already released.
+  for (auto It = Contexts.begin(); It != Contexts.end();) {
+    if (Ladder.bucket(It->first).get() == &It->second->compiled())
+      ++It;
+    else
+      It = Contexts.erase(It);
+  }
+
   size_t K = B.Requests.size();
   CompiledNetLadder::Rung Rung = Ladder.acquire(static_cast<int64_t>(K));
   if (!Rung.Artifact)
     return false;
 
   // One cached context per bucket per worker, revalidated by artifact
-  // identity: an evicted-then-recompiled bucket yields a fresh artifact,
-  // and a stale context must not keep serving (or pinning) the old one.
-  std::unique_ptr<BatchExecutionContext> &Ctx = Contexts[Rung.Bucket];
+  // identity (the rung may have been recompiled since the sweep above).
+  std::unique_ptr<ExecutionContext> &Ctx = Contexts[Rung.Bucket];
   if (!Ctx || &Ctx->compiled() != Rung.Artifact.get())
-    Ctx = std::make_unique<BatchExecutionContext>(Rung.Artifact, CtxOpts);
+    Ctx = std::make_unique<ExecutionContext>(Rung.Artifact, CtxOpts);
 
-  // Gather -> ONE batched interpretation (the bucket's own §8 plan:
-  // @bser/@bpar and thread count per layer) -> scatter per-image outputs.
+  // Gather -> ONE pass over the bucket's own §8 plan (@bser/@bpar and
+  // thread count per layer) -> scatter per-image outputs.
   std::vector<const Tensor3D *> Inputs;
   Inputs.reserve(K);
   for (BatchRequest &Rq : B.Requests)
@@ -80,19 +89,9 @@ bool primsel::serve::executeBatchLadder(
   Ctx->run(Inputs);
 
   TimeNs DoneNs = Clk.now();
-  for (size_t I = 0; I < K; ++I) {
-    BatchRequest &Rq = B.Requests[I];
-    ServeResponse Resp;
-    Resp.Status = ServeStatus::Ok;
-    Resp.Output = cloneTensor(Ctx->output(I));
-    Resp.BatchSize = static_cast<unsigned>(K);
-    Resp.QueueNs = B.FormedNs - Rq.ArrivalNs;
-    Resp.TotalNs = DoneNs - Rq.ArrivalNs;
-    Resp.MissedDeadline = Rq.DeadlineNs != 0 && DoneNs > Rq.DeadlineNs;
-    if (Resp.MissedDeadline)
-      DeadlineMisses.fetch_add(1, std::memory_order_relaxed);
-    Rq.Done.set_value(std::move(Resp));
-  }
+  for (size_t I = 0; I < K; ++I)
+    respond(B.Requests[I], B, DoneNs, ServeStatus::Ok, &Ctx->output(I),
+            &DeadlineMisses);
   return true;
 }
 
@@ -150,10 +149,10 @@ void Server::workerLoop() {
   ThreadPool SlotPool(PoolWidth);
   Clock &Clk = Queue.clock();
 
-  // Ladder mode: one batched context per resident bucket, each given the
-  // full pool width -- the bucket's plan decides per layer whether the
-  // pool works inside a primitive (@bser) or across images (@bpar).
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> BucketContexts;
+  // Ladder mode: one context per resident bucket, each given the full
+  // pool width -- the bucket's plan decides per layer whether the pool
+  // works inside a primitive (@bser) or across images (@bpar).
+  std::map<int64_t, std::unique_ptr<ExecutionContext>> BucketContexts;
   ExecutionContextOptions LadderOpts;
   LadderOpts.Threads = PoolWidth;
   LadderOpts.UseArena = Opts.UseArena;

@@ -7,14 +7,21 @@
 /// \file
 /// The batched serving front end over one CompiledNet: a Batcher
 /// (serve/Batcher.h) coalesces independently-arriving requests into
-/// minibatches, and a pool of worker threads drains them. Each worker
-/// owns one ExecutionContext per batch slot and runs the images of a
-/// popped batch concurrently on its own slot pool -- the image-parallel
-/// minibatch schedule (paper §8) applied at whole-network granularity.
-/// Every slot executes the ordinary single-image path over the shared
-/// PreparedKernels, so batched responses are bit-identical to the
-/// sequential Executor by construction, independent of batch size, worker
-/// count, or arrival interleaving.
+/// minibatches, and a pool of worker threads drains them through one of
+/// two dispatch paths over the same ExecutionContext type:
+///
+///  - per-slot (executeBatch): one batch-1 context per batch slot, the
+///    popped batch's images run concurrently on the worker's slot pool --
+///    the image-parallel minibatch schedule (paper §8) applied at
+///    whole-network granularity;
+///  - ladder (executeBatchLadder, when ServerOptions::Ladder is set): one
+///    context per resident batch bucket runs the whole batch in a single
+///    pass through the bucket's own §8 minibatch plan.
+///
+/// Both run the shared PreparedKernels through the one interpreter, so
+/// responses are bit-identical to the sequential Executor by construction,
+/// independent of batch size, worker count, dispatch path or arrival
+/// interleaving.
 ///
 /// Shutdown drains: shutdown() closes admission, lets the workers pop and
 /// complete every already-admitted request (a closed batcher fires
@@ -26,7 +33,6 @@
 #ifndef PRIMSEL_SERVE_SERVER_H
 #define PRIMSEL_SERVE_SERVER_H
 
-#include "engine/BatchContext.h"
 #include "engine/CompiledNet.h"
 #include "engine/Ladder.h"
 #include "serve/Batcher.h"
@@ -43,11 +49,20 @@ class ThreadPool;
 
 namespace serve {
 
+/// Resolve \p Rq, a request of batch \p B, as finished at \p DoneNs with
+/// \p Status (queue and total time measured from its arrival). An Ok
+/// response carries a copy of \p Output and the batch size, and a late
+/// completion is flagged and counted in \p DeadlineMisses; other statuses
+/// carry neither. Every serving path completes its requests through this
+/// function.
+void respond(BatchRequest &Rq, const Batch &B, TimeNs DoneNs,
+             ServeStatus Status, const Tensor3D *Output = nullptr,
+             std::atomic<uint64_t> *DeadlineMisses = nullptr);
+
 /// Run every request of \p B on \p Net and resolve its promise with an Ok
 /// response -- the per-slot execution path shared by the single-model
-/// Server and the fleet lanes, so both are bit-identical to the sequential
-/// Executor by construction. Grows \p Slots (one ExecutionContext per
-/// batch slot, created with \p CtxOpts) on demand and runs the slots
+/// Server and the fleet lanes. Grows \p Slots (one context per batch
+/// slot, created with \p CtxOpts) on demand and runs the slots
 /// concurrently on \p SlotPool; callers reuse both across batches.
 /// \p MaxRetainedSlots caps the contexts kept alive after the batch
 /// drains: an oversized burst (a closed batcher flushing, a test feeding a
@@ -62,18 +77,20 @@ void executeBatch(const std::shared_ptr<const CompiledNet> &Net, Batch &B,
                   size_t MaxRetainedSlots = 0);
 
 /// Ladder dispatch (engine/Ladder.h): run every request of \p B through
-/// ONE batched interpretation on the smallest resident bucket >= K,
+/// ONE pass of the context on the smallest resident bucket >= K,
 /// scattering the per-image outputs to each request's promise. Returns
 /// false -- leaving \p B untouched -- when no resident bucket can hold K;
 /// the caller falls back to the per-slot executeBatch for this batch while
 /// the ladder's background thread compiles the missing bucket (the request
-/// path never waits on a PBQP solve). \p Contexts caches one
-/// BatchExecutionContext per bucket per worker, revalidated against the
-/// rung's artifact so eviction + recompile swaps rebind cleanly. Shared by
+/// path never waits on a PBQP solve). \p Contexts caches one context per
+/// bucket per worker. Every call first drops the cached contexts whose
+/// bucket is no longer resident, or is resident under another artifact,
+/// so an evicted or recompiled rung's kernels and arena slabs are freed at
+/// the next batch boundary rather than pinned by an idle worker. Shared by
 /// the single-model Server and the fleet lanes.
 bool executeBatchLadder(
     CompiledNetLadder &Ladder, Batch &B,
-    std::map<int64_t, std::unique_ptr<BatchExecutionContext>> &Contexts,
+    std::map<int64_t, std::unique_ptr<ExecutionContext>> &Contexts,
     const ExecutionContextOptions &CtxOpts, Clock &Clk,
     std::atomic<uint64_t> &DeadlineMisses);
 
@@ -92,7 +109,7 @@ struct ServerOptions {
   /// Back each slot context's intermediates with its own arena slab.
   bool UseArena = true;
   /// Batch-bucketed plan ladder (engine/Ladder.h). When set, workers serve
-  /// each popped batch through one batched context on the smallest
+  /// each popped batch as one pass of a context on the smallest
   /// resident bucket >= K -- the real §8 minibatch plans -- falling back
   /// to the per-slot path only while a bucket is still compiling in the
   /// background. Null = the historical per-slot path.
@@ -106,7 +123,7 @@ struct ServerStats {
   uint64_t BatchesExecuted = 0;
   /// Requests that completed Ok but after their deadline.
   uint64_t DeadlineMisses = 0;
-  /// Batches served through a ladder bucket's batched context.
+  /// Batches served through a ladder bucket's context.
   uint64_t BatchedBatches = 0;
   /// Batches that fell back to the per-slot path (no ladder, or the
   /// bucket was still compiling). After ladder warmup this stops growing.

@@ -180,14 +180,13 @@ TEST(CompiledNet, ExecutorFacadeSharesTheArtifact) {
   ASSERT_FALSE(R.Plan.empty());
 
   Executor Exec(Net, R.Plan, lib());
-  ASSERT_NE(Exec.compiled(), nullptr);
 
   Tensor3D In = makeInput(Net);
   Exec.run(In);
 
-  // A context opened on the facade's own artifact computes the same
+  // A context opened on the executor's own artifact computes the same
   // function -- one execution path, shared prepared kernels.
-  std::unique_ptr<ExecutionContext> Ctx = Exec.compiled()->newContext();
+  std::unique_ptr<ExecutionContext> Ctx = Exec.compiled().newContext();
   Ctx->run(In);
   EXPECT_EQ(maxAbsDifference(Exec.networkOutput(), Ctx->networkOutput()),
             0.0f);

@@ -3,9 +3,10 @@
 // The batch-bucketed plan ladder (engine/Ladder.h + Engine::compileLadder)
 // and its serving dispatch (serve/Server.h executeBatch/executeBatchLadder):
 // bucket compilation sync and background, acquire/miss semantics, plan-cache
-// bucket keying, anchor-routine restriction, eviction, batched-context
-// bit-identity against the sequential Executor, and the per-request
-// latency/deadline accounting of both dispatch paths under a VirtualClock.
+// bucket keying, anchor-routine restriction, eviction (including the
+// release of evicted rungs' cached contexts), bucket-context bit-identity
+// against the sequential Executor, and the per-request latency/deadline
+// accounting of both dispatch paths under a VirtualClock.
 //
 // The background-compile suite races a live acquire() loop against the
 // ladder's compile thread, which is why this binary carries the
@@ -15,7 +16,6 @@
 
 #include "batch/Minibatch.h"
 #include "cost/AnalyticModel.h"
-#include "engine/BatchContext.h"
 #include "engine/Engine.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
@@ -214,6 +214,11 @@ TEST(Ladder, BackgroundCompileRacesAcquire) {
   LadderHarness H;
   std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4, 8}, true);
   ASSERT_NE(L, nullptr);
+  // Request every bucket up front: a hit on a larger resident bucket never
+  // requests the smaller ideal one, so otherwise a slow-starting thread
+  // could leave a bucket unrequested and the drained ladder incomplete.
+  for (int64_t K : {2, 4, 8})
+    EXPECT_EQ(L->acquire(K).Artifact, nullptr);
   constexpr int PerThread = 200;
   std::vector<std::thread> Threads;
   for (int T = 0; T < 2; ++T)
@@ -229,14 +234,14 @@ TEST(Ladder, BackgroundCompileRacesAcquire) {
     T.join();
   L->waitForCompiles();
   LadderStats S = L->stats();
-  EXPECT_EQ(S.Hits + S.Misses, 2u * PerThread);
+  EXPECT_EQ(S.Hits + S.Misses, 2u * PerThread + 3u);
   EXPECT_EQ(S.CompileFailures, 0u);
   // Every miss queued a compile; after the drain the whole ladder stands.
   EXPECT_EQ(S.ResidentBuckets, 4u);
 }
 
 //===----------------------------------------------------------------------===//
-// Batched execution context: bit-identity across the bucket x width grid
+// Bucket contexts: bit-identity across the bucket x width x branches grid
 //===----------------------------------------------------------------------===//
 
 TEST(BatchContext, BitIdenticalToSequentialExecutorAtEveryGridPoint) {
@@ -256,23 +261,31 @@ TEST(BatchContext, BitIdenticalToSequentialExecutorAtEveryGridPoint) {
 
   for (const CompiledNetLadder::Rung &R : L->residentRungs()) {
     for (unsigned Threads = 1; Threads <= 2; ++Threads) {
-      ExecutionContextOptions Opts;
-      Opts.Threads = Threads;
-      BatchExecutionContext Ctx(R.Artifact, Opts);
-      EXPECT_EQ(Ctx.capacity(), R.Bucket);
-      // Partial batches are first-class: every K the bucket accepts.
-      for (int64_t K = 1; K <= R.Bucket; ++K) {
-        std::vector<const Tensor3D *> Ptrs;
-        for (int64_t I = 0; I < K; ++I)
-          Ptrs.push_back(&Inputs[static_cast<size_t>(I) % Inputs.size()]);
-        Ctx.run(Ptrs);
-        for (int64_t I = 0; I < K; ++I)
-          EXPECT_EQ(maxAbsDifference(
-                        Ctx.output(static_cast<size_t>(I)),
-                        Reference[static_cast<size_t>(I) % Reference.size()]),
-                    0.0f)
-              << "bucket " << R.Bucket << " K " << K << " width " << Threads
-              << " image " << I;
+      for (bool Branches : {false, true}) {
+        ExecutionContextOptions Opts;
+        Opts.Threads = Threads;
+        Opts.ParallelBranches = Branches;
+        ExecutionContext Ctx(R.Artifact, Opts);
+        EXPECT_EQ(Ctx.capacity(), R.Bucket);
+        // Partial batches are first-class: every K the bucket accepts.
+        for (int64_t K = 1; K <= R.Bucket; ++K) {
+          std::vector<const Tensor3D *> Ptrs;
+          for (int64_t I = 0; I < K; ++I)
+            Ptrs.push_back(&Inputs[static_cast<size_t>(I) % Inputs.size()]);
+          Ctx.run(Ptrs);
+          for (int64_t I = 0; I < K; ++I)
+            EXPECT_EQ(maxAbsDifference(Ctx.output(static_cast<size_t>(I)),
+                                       Reference[static_cast<size_t>(I) %
+                                                 Reference.size()]),
+                      0.0f)
+                << "bucket " << R.Bucket << " K " << K << " width "
+                << Threads << " branches " << Branches << " image " << I;
+        }
+        // The single-image entry point is K = 1 on any bucket.
+        Ctx.run(Inputs[1]);
+        EXPECT_EQ(maxAbsDifference(Ctx.networkOutput(), Reference[1]), 0.0f)
+            << "bucket " << R.Bucket << " single-image run, width "
+            << Threads << " branches " << Branches;
       }
     }
   }
@@ -416,7 +429,7 @@ TEST(ExecuteBatchLadder, GathersOneBatchedRunAndScattersPerImageOutputs) {
     B.Requests.push_back(std::move(Rq));
   }
 
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> Contexts;
+  std::map<int64_t, std::unique_ptr<ExecutionContext>> Contexts;
   ExecutionContextOptions CtxOpts;
   std::atomic<uint64_t> Misses{0};
   ASSERT_TRUE(executeBatchLadder(*L, B, Contexts, CtxOpts, Clk, Misses));
@@ -453,7 +466,7 @@ TEST(ExecuteBatchLadder, MissLeavesBatchUntouchedForFallback) {
     B.Requests.push_back(std::move(Rq));
   }
 
-  std::map<int64_t, std::unique_ptr<BatchExecutionContext>> Contexts;
+  std::map<int64_t, std::unique_ptr<ExecutionContext>> Contexts;
   ExecutionContextOptions CtxOpts;
   std::atomic<uint64_t> Misses{0};
   // Bucket 2 is not resident yet: the dispatch declines, leaving every
@@ -473,4 +486,36 @@ TEST(ExecuteBatchLadder, MissLeavesBatchUntouchedForFallback) {
   // served batched.
   L->waitForCompiles();
   EXPECT_NE(L->bucket(2), nullptr);
+}
+
+TEST(ExecuteBatchLadder, EvictedBucketContextIsReleased) {
+  LadderHarness H;
+  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, false);
+  ASSERT_NE(L, nullptr);
+  Tensor3D Input = inputFor(L->bucket(1)->graph(), 5);
+  VirtualClock Clk;
+  std::map<int64_t, std::unique_ptr<ExecutionContext>> Contexts;
+  ExecutionContextOptions CtxOpts;
+  std::atomic<uint64_t> Misses{0};
+
+  // K=3 lands on bucket 4 and caches a context bound to its artifact.
+  std::vector<std::future<ServeResponse>> Futures;
+  Batch B = makeBatch(Input, 0, {{0, 0}, {0, 0}, {0, 0}}, Futures);
+  ASSERT_TRUE(executeBatchLadder(*L, B, Contexts, CtxOpts, Clk, Misses));
+  ASSERT_EQ(Contexts.count(4), 1u);
+  std::weak_ptr<const CompiledNet> Bucket4 = L->bucket(4);
+  ASSERT_FALSE(Bucket4.expired());
+
+  // Once the ladder drops the rung, the next batch through the same
+  // worker's map -- even one served by another bucket -- must release the
+  // stale context, and with it the last reference to the artifact.
+  ASSERT_TRUE(L->evictBucket(4));
+  std::vector<std::future<ServeResponse>> Futures1;
+  Batch B1 = makeBatch(Input, 0, {{0, 0}}, Futures1);
+  ASSERT_TRUE(executeBatchLadder(*L, B1, Contexts, CtxOpts, Clk, Misses));
+  EXPECT_TRUE(Bucket4.expired());
+  EXPECT_EQ(Contexts.count(4), 0u);
+  for (auto &F : Futures)
+    EXPECT_TRUE(F.get().ok());
+  EXPECT_TRUE(Futures1.front().get().ok());
 }

@@ -206,7 +206,7 @@ void expectServingConfigMatches(const NetworkGraph &Net,
   EXPECT_EQ(maxAbsDifference(Ref.networkOutput(), Exec.networkOutput()),
             0.0f);
   if (Config.UseArena) {
-    EXPECT_GT(Exec.memoryPlan().NumArenaValues, 0u);
+    EXPECT_GT(Exec.compiled().memoryPlan().NumArenaValues, 0u);
     EXPECT_LT(Exec.peakIntermediateBytes(), Ref.peakIntermediateBytes());
   }
 }

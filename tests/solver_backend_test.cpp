@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 using namespace primsel;
 using namespace primsel::pbqp;
@@ -131,8 +132,9 @@ public:
     return Inner.transformCost(From, To, Shape);
   }
 
-  uint64_t ConvEvals = 0;
-  uint64_t TransformEvals = 0;
+  // Atomic: prepopulate() queries the inner provider from pool threads.
+  std::atomic<uint64_t> ConvEvals{0};
+  std::atomic<uint64_t> TransformEvals{0};
 
 private:
   CostProvider &Inner;
@@ -161,14 +163,14 @@ TEST(CachingCostProvider, RepeatedQueriesHitTheCache) {
   EXPECT_LT(Stats.misses(), Stats.queries());
   EXPECT_EQ(Stats.hits(), Ids.size());
   // The miss counter is exactly the raw evaluation count.
-  EXPECT_EQ(Counted.ConvEvals, Stats.ConvMisses);
+  EXPECT_EQ(Counted.ConvEvals.load(), Stats.ConvMisses);
 
   TensorShape Sh{16, 14, 14};
   for (unsigned Round = 0; Round < 3; ++Round)
     Cached.transformCost(Layout::CHW, Layout::HWC, Sh);
   EXPECT_EQ(Cached.stats().TransformQueries, 3u);
   EXPECT_EQ(Cached.stats().TransformMisses, 1u);
-  EXPECT_EQ(Counted.TransformEvals, 1u);
+  EXPECT_EQ(Counted.TransformEvals.load(), 1u);
 }
 
 TEST(CachingCostProvider, PrepopulateCoversTheBuilderQueries) {

@@ -68,7 +68,6 @@
 #include "batch/Minibatch.h"
 #include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
-#include "engine/BatchContext.h"
 #include "engine/Engine.h"
 #include "gemm/MicroKernel.h"
 #include "nn/Models.h"
@@ -684,14 +683,14 @@ uint64_t outputChecksum(const CompiledNet &CN) {
 }
 
 /// Per-bucket bit-identity probe: run B copies of the same deterministic
-/// input through each resident rung's batched context and checksum every
+/// input through a context on each resident rung and checksum every
 /// image's output. CI diffs every line against the unbatched
 /// '# output checksum' -- equality at every bucket proves the batched §8
 /// plans serve bit-identical per-image outputs.
 void printLadderChecksums(const CompiledNetLadder &Ladder) {
   for (const CompiledNetLadder::Rung &R : Ladder.residentRungs()) {
     ExecutionContextOptions CtxOpts;
-    BatchExecutionContext Ctx(R.Artifact, CtxOpts);
+    ExecutionContext Ctx(R.Artifact, CtxOpts);
     const TensorShape &Sh = R.Artifact->graph().node(0).OutShape;
     Tensor3D Input(Sh.C, Sh.H, Sh.W, Layout::CHW);
     Input.fillRandom(11);
@@ -1524,7 +1523,7 @@ int cmdServe(const CliOptions &Opts) {
   // R owns the pass-rewritten graph the executor runs (R outlives Exec).
   std::unique_ptr<Executor> Exec = Eng.instantiate(*Net, R, XOpts);
 
-  const MemoryPlan &MP = Exec->memoryPlan();
+  const MemoryPlan &MP = Exec->compiled().memoryPlan();
   std::printf("# executor: %zu values, %zu levels, %s, %s\n",
               MP.Values.size(), MP.Levels.size(),
               XOpts.UseArena ? "arena" : "per-layer allocation",
