@@ -74,13 +74,12 @@ NetworkResult primsel::bench::runNetworkComparison(
 
   // Every strategy (PBQP included) runs through the optimizer engine, so
   // one network's cost queries are paid once across all bars. Providers
-  // here are frequently measuring ones, so the cache fills serially.
-  EngineOptions EOpts;
-  EOpts.ParallelPrepopulate = false;
-  Engine Eng(Lib, Costs, EOpts);
+  // here are frequently measuring ones, so the cache fills serially (the
+  // default single-threaded engine has no pre-population pool).
+  Engine Eng(Lib, Costs);
   std::unique_ptr<Engine> BaselineEng;
   if (BaselineCosts)
-    BaselineEng = std::make_unique<Engine>(Lib, *BaselineCosts, EOpts);
+    BaselineEng = std::make_unique<Engine>(Lib, *BaselineCosts);
 
   auto Evaluate = [&](Strategy S, Engine &E, unsigned NumThreads) {
     NetworkPlan Plan = E.planFor(S, Net);

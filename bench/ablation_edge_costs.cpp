@@ -30,9 +30,7 @@ public:
   ScaledTransformProvider(CostProvider &Inner, double Factor)
       : Inner(Inner), Factor(Factor) {}
 
-  double convCost(const ConvScenario &S, PrimitiveId Id) override {
-    return Inner.convCost(S, Id);
-  }
+  CostBreakdown cost(const CostQuery &Q) override { return Inner.cost(Q); }
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override {
     return Factor * Inner.transformCost(From, To, Shape);

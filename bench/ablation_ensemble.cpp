@@ -76,10 +76,9 @@ int main() {
       CachedMeasuredProvider Cached(Run.Lib, Config, /*Threads=*/1, "ens");
       MeasuredCostProvider &Prov = Cached.provider();
 
-      // Measured costs: keep the engine's cache but fill it serially.
-      EngineOptions Opts;
-      Opts.ParallelPrepopulate = false;
-      SelectionResult R = optimizeNetwork(Net, Run.Lib, Prov, Opts);
+      // Measured costs: the default single-threaded engine fills its
+      // cache serially.
+      SelectionResult R = optimizeNetwork(Net, Run.Lib, Prov);
       double Measured =
           timeNetworkPlan(Net, R.Plan, Run.Lib, /*Threads=*/1, Config);
 

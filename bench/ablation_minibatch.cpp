@@ -72,8 +72,8 @@ int main() {
       S.Batch = Batch;
       PrimitiveId Ser = *Lib.findByName(std::string(P.Base) + "@bser");
       PrimitiveId Par = *Lib.findByName(std::string(P.Base) + "@bpar");
-      double SerMs = Prov.convCost(S, Ser);
-      double ParMs = Prov.convCost(S, Par);
+      double SerMs = Prov.cost({S, Ser}).totalMs();
+      double ParMs = Prov.cost({S, Par}).totalMs();
       std::printf("%-34s %5lld %12.3f %12.3f %8s\n", P.Label,
                   static_cast<long long>(Batch), SerMs, ParMs,
                   SerMs <= ParMs ? "bser" : "bpar");
@@ -84,10 +84,9 @@ int main() {
   std::printf("\n# Part 2: PBQP selection for AlexNet, batch 4\n");
   NetworkGraph Net = *buildModel("alexnet", Config.Scale);
   Net.setBatch(4);
-  BatchTransformScaledProvider Costs(Prov, Net.batch());
-  EngineOptions EOpts;
-  EOpts.ParallelPrepopulate = false; // measured costs fill serially
-  SelectionResult R = optimizeNetwork(Net, Lib, Costs, EOpts);
+  // Measured costs fill serially (single-threaded engine); the formulation
+  // weights every layout transform by the batch.
+  SelectionResult R = optimizeNetwork(Net, Lib, Prov);
 
   std::printf("%-12s %-40s %10s\n", "layer", "selected primitive",
               "schedule");

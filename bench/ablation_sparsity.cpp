@@ -44,7 +44,7 @@ int main() {
     double BestAny = std::numeric_limits<double>::infinity();
     PrimitiveId BestAnyId = 0;
     for (PrimitiveId Id : Lib.supporting(S)) {
-      double Millis = Prov.convCost(S, Id);
+      double Millis = Prov.cost({S, Id}).totalMs();
       if (Lib.get(Id).family() != ConvFamily::Sparse &&
           Millis < BestDense) {
         BestDense = Millis;
@@ -57,7 +57,8 @@ int main() {
     }
     (void)BestDenseId;
     std::printf("%-10d %14.3f %14.3f %14.3f %16s\n", Sp, BestDense,
-                Prov.convCost(S, SparseI2C), Prov.convCost(S, SparseDir),
+                Prov.cost({S, SparseI2C}).totalMs(),
+                Prov.cost({S, SparseDir}).totalMs(),
                 Lib.get(BestAnyId).name().c_str());
   }
 

@@ -46,11 +46,10 @@ int main() {
               Config.Scale);
 
   {
-    // The profiler must be called serially; the engine still memoizes.
+    // The profiler must be called serially; the default single-threaded
+    // engine still memoizes.
     CachedMeasuredProvider Cached(Lib, Config, 1, "x86");
-    EngineOptions Opts;
-    Opts.ParallelPrepopulate = false;
-    SelectionResult R = optimizeNetwork(Net, Lib, Cached.provider(), Opts);
+    SelectionResult R = optimizeNetwork(Net, Lib, Cached.provider());
     printSelections("x86 host (measured costs)", Net, Lib, R);
   }
   {

@@ -66,7 +66,7 @@ int main() {
       const ConvPrimitive &P = Lib.get(Id);
       if (!P.supports(C.S))
         continue;
-      double Millis = Prov.convCost(C.S, Id);
+      double Millis = Prov.cost({C.S, Id}).totalMs();
       unsigned F = static_cast<unsigned>(P.family());
       if (Millis < FamilyBest[F]) {
         FamilyBest[F] = Millis;

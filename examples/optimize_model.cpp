@@ -159,11 +159,10 @@ int main(int Argc, char **Argv) {
 
   // One engine serves the whole session: the strategy plan, the optional
   // execution, and the cost-cache reuse between them. The profiler cannot
-  // be called concurrently, so parallel pre-population stays off when
+  // be called concurrently, so the engine gets no pre-population pool when
   // measuring.
   EngineOptions EOpts;
-  EOpts.Threads = Opts.Threads;
-  EOpts.ParallelPrepopulate = !Opts.Analytic.empty();
+  EOpts.Threads = Opts.Analytic.empty() ? 1 : Opts.Threads;
   Engine Eng(Lib, *Costs, EOpts);
 
   NetworkPlan Plan;

@@ -37,10 +37,9 @@ int main() {
 
   // 4. Optimal selection via the engine: cost layer -> PBQP -> solver ->
   //    legalizer, one call. The profiler must be called serially, so the
-  //    engine caches lazily instead of pre-populating in parallel.
-  EngineOptions EOpts;
-  EOpts.ParallelPrepopulate = false;
-  Engine Eng(Lib, Costs, EOpts);
+  //    engine (one thread by default) caches lazily instead of
+  //    pre-populating in parallel.
+  Engine Eng(Lib, Costs);
   SelectionResult R = Eng.optimize(Net);
   std::printf("\nPBQP solved in %.2f ms (%s); modelled network cost %.3f "
               "ms\n\n",

@@ -27,12 +27,16 @@
 /// overhead better across images -- exactly the kind of unpredictable
 /// trade-off the paper resolves by profiling + PBQP instead of heuristics.
 ///
+/// The cost side needs no adapter: conv queries carry the batch in their
+/// scenario, and the formulation weights each per-image layout transform
+/// by the graph's batch (core/DTGraph.h, core/Legalizer.h), because a
+/// legalizing transform converts every image flowing along the edge.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIMSEL_BATCH_MINIBATCH_H
 #define PRIMSEL_BATCH_MINIBATCH_H
 
-#include "cost/CostProvider.h"
 #include "primitives/Registry.h"
 
 namespace primsel {
@@ -102,65 +106,6 @@ unsigned addMinibatchVariants(PrimitiveLibrary &Lib);
 /// Build the full library plus both batch schedules for every routine --
 /// the §8 selection space for batched inference.
 PrimitiveLibrary buildBatchedLibrary();
-
-/// CostProvider adapter for batched networks: conv costs pass through
-/// (the profiler measures runBatch for Batch > 1 scenarios), while layout
-/// transformation costs are scaled by the batch size, because a legalizing
-/// transform must convert every image flowing along the edge.
-class BatchTransformScaledProvider : public CostProvider {
-public:
-  BatchTransformScaledProvider(CostProvider &Inner, int64_t Batch)
-      : Inner(Inner), Batch(Batch) {}
-
-  double convCost(const ConvScenario &S, PrimitiveId Id) override {
-    return Inner.convCost(S, Id);
-  }
-  double transformCost(Layout From, Layout To,
-                       const TensorShape &Shape) override {
-    return static_cast<double>(Batch) * Inner.transformCost(From, To, Shape);
-  }
-  CostBreakdown convCostBreakdown(const ConvScenario &S,
-                                  PrimitiveId Id) override {
-    return Inner.convCostBreakdown(S, Id);
-  }
-  double convServingCost(const ConvScenario &S, PrimitiveId Id) override {
-    return Inner.convServingCost(S, Id);
-  }
-  CostBreakdown transformCostBreakdown(Layout From, Layout To,
-                                       const TensorShape &Shape) override {
-    CostBreakdown B = Inner.transformCostBreakdown(From, To, Shape);
-    // Every image flowing along the edge converts afresh; only the per-run
-    // half scales.
-    B.PerRunMs *= static_cast<double>(Batch);
-    return B;
-  }
-  // The thread-count axis passes through untouched -- the CostProvider
-  // defaults would silently drop Threads (they fall back to convCost), and
-  // the batch-bucket ladder solves thread-aware formulations through this
-  // adapter.
-  double convCostAt(const ConvScenario &S, PrimitiveId Id,
-                    unsigned Threads) override {
-    return Inner.convCostAt(S, Id, Threads);
-  }
-  double convServingCostAt(const ConvScenario &S, PrimitiveId Id,
-                           unsigned Threads) override {
-    return Inner.convServingCostAt(S, Id, Threads);
-  }
-  CostBreakdown convCostBreakdownAt(const ConvScenario &S, PrimitiveId Id,
-                                    unsigned Threads) override {
-    return Inner.convCostBreakdownAt(S, Id, Threads);
-  }
-  double dispatchOverheadMs() const override {
-    return Inner.dispatchOverheadMs();
-  }
-  std::string identity() const override {
-    return Inner.identity() + ":bx" + std::to_string(Batch);
-  }
-
-private:
-  CostProvider &Inner;
-  int64_t Batch;
-};
 
 } // namespace primsel
 

@@ -11,7 +11,8 @@ using namespace primsel;
 
 static constexpr double Inf = std::numeric_limits<double>::infinity();
 
-DTTable DTTable::build(CostProvider &Costs, const TensorShape &Shape) {
+DTTable DTTable::build(CostProvider &Costs, const TensorShape &Shape,
+                       int64_t Batch) {
   DTTable T;
   for (unsigned I = 0; I < NumLayouts; ++I)
     for (unsigned J = 0; J < NumLayouts; ++J) {
@@ -22,7 +23,8 @@ DTTable DTTable::build(CostProvider &Costs, const TensorShape &Shape) {
   for (const TransformRoutineInfo &R : directTransformRoutines()) {
     unsigned F = static_cast<unsigned>(R.From);
     unsigned To = static_cast<unsigned>(R.To);
-    double C = Costs.transformCost(R.From, R.To, Shape);
+    double C = static_cast<double>(Batch) *
+               Costs.transformCost(R.From, R.To, Shape);
     assert(C >= 0.0 && "negative transform cost");
     if (C < T.Dist[F][To]) {
       T.Dist[F][To] = C;
@@ -75,5 +77,6 @@ const DTTable &DTTableCache::get(const TensorShape &Shape) {
   auto It = Tables.find(Key);
   if (It != Tables.end())
     return It->second;
-  return Tables.emplace(Key, DTTable::build(Costs, Shape)).first->second;
+  return Tables.emplace(Key, DTTable::build(Costs, Shape, Batch))
+      .first->second;
 }

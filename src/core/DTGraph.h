@@ -15,7 +15,10 @@
 /// time. Where no path exists ... the cost ... is infinite."
 ///
 /// Transform costs depend on the tensor shape flowing along the edge, so a
-/// DTTable is built per shape; DTTableCache memoizes them.
+/// DTTable is built per shape; DTTableCache memoizes them. In a batched
+/// network (paper §8) every image flowing along an edge is converted, so
+/// each direct routine is weighted by the minibatch size before the
+/// shortest paths are computed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +39,10 @@ namespace primsel {
 class DTTable {
 public:
   /// Run Floyd-Warshall over the library's direct routines, with edge
-  /// weights taken from \p Costs for tensors of \p Shape.
-  static DTTable build(CostProvider &Costs, const TensorShape &Shape);
+  /// weights taken from \p Costs for tensors of \p Shape, each multiplied
+  /// by \p Batch.
+  static DTTable build(CostProvider &Costs, const TensorShape &Shape,
+                       int64_t Batch = 1);
 
   /// Cheapest total transformation cost From -> To (0 when equal, +inf when
   /// unreachable).
@@ -56,15 +61,19 @@ private:
 };
 
 /// Memoizes DTTables by shape; selection for a whole network touches only a
-/// handful of distinct shapes.
+/// handful of distinct shapes. \p Batch is the network's minibatch size
+/// (NetworkGraph::batch()).
 class DTTableCache {
 public:
-  explicit DTTableCache(CostProvider &Costs) : Costs(Costs) {}
+  explicit DTTableCache(CostProvider &Costs, int64_t Batch = 1)
+      : Costs(Costs), Batch(Batch) {}
 
   const DTTable &get(const TensorShape &Shape);
+  int64_t batch() const { return Batch; }
 
 private:
   CostProvider &Costs;
+  int64_t Batch;
   std::map<std::tuple<int64_t, int64_t, int64_t>, DTTable> Tables;
 };
 

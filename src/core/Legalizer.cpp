@@ -28,30 +28,43 @@ bool primsel::legalize(NetworkPlan &Plan, const NetworkGraph &Net,
   return true;
 }
 
+namespace {
+
+/// The cost query behind conv node \p N of \p Plan. A plan without a
+/// thread axis carries no per-node worker decision, so it asks for the
+/// provider's configured count rather than an explicit 1.
+CostQuery nodeQuery(const NetworkPlan &Plan, const NetworkGraph &Net,
+                    NetworkGraph::NodeId N) {
+  return {Net.node(N).Scenario, Plan.ConvPrim[N],
+          Plan.ConvThreads.empty() ? 0u : Plan.convThreads(N)};
+}
+
+/// Call \p OnHop with the batch-weighted cost of every hop of every
+/// legalization chain: each image flowing along the edge is converted.
+template <typename HopFn>
+void forEachHop(const NetworkPlan &Plan, const NetworkGraph &Net,
+                CostProvider &Costs, HopFn OnHop) {
+  const double Batch = static_cast<double>(Net.batch());
+  for (const auto &[Edge, Chain] : Plan.Chains) {
+    assert(Chain.size() >= 2 && "degenerate legalization chain");
+    NetworkGraph::NodeId Producer = Net.node(Edge.first).Inputs[Edge.second];
+    const TensorShape &Shape = Net.node(Producer).OutShape;
+    for (size_t I = 0; I + 1 < Chain.size(); ++I)
+      OnHop(Batch * Costs.transformCost(Chain[I], Chain[I + 1], Shape));
+  }
+}
+
+} // namespace
+
 double primsel::modelPlanCost(const NetworkPlan &Plan,
                               const NetworkGraph &Net,
                               const PrimitiveLibrary &Lib,
                               CostProvider &Costs) {
   (void)Lib; // kept in the signature for symmetry with planForStrategy
   double Total = 0.0;
-  for (NetworkGraph::NodeId N = 0; N < Net.numNodes(); ++N) {
-    const NetworkGraph::Node &Node = Net.node(N);
-    // A plan without a thread axis carries no per-node worker decision:
-    // the provider's own configured thread count applies (legacy calls),
-    // not an explicit count of 1.
-    if (!isDummyKind(Node.L.Kind))
-      Total += Plan.ConvThreads.empty()
-                   ? Costs.convCost(Node.Scenario, Plan.ConvPrim[N])
-                   : Costs.convCostAt(Node.Scenario, Plan.ConvPrim[N],
-                                      Plan.convThreads(N));
-  }
-  for (const auto &[Edge, Chain] : Plan.Chains) {
-    assert(Chain.size() >= 2 && "degenerate legalization chain");
-    NetworkGraph::NodeId Producer = Net.node(Edge.first).Inputs[Edge.second];
-    const TensorShape &Shape = Net.node(Producer).OutShape;
-    for (size_t I = 0; I + 1 < Chain.size(); ++I)
-      Total += Costs.transformCost(Chain[I], Chain[I + 1], Shape);
-  }
+  for (NetworkGraph::NodeId N : Net.convNodes())
+    Total += Costs.cost(nodeQuery(Plan, Net, N)).totalMs();
+  forEachHop(Plan, Net, Costs, [&](double Ms) { Total += Ms; });
   return Total;
 }
 
@@ -61,29 +74,12 @@ CostBreakdown primsel::modelPlanCostBreakdown(const NetworkPlan &Plan,
                                               CostProvider &Costs) {
   (void)Lib;
   CostBreakdown Total;
-  for (NetworkGraph::NodeId N = 0; N < Net.numNodes(); ++N) {
-    const NetworkGraph::Node &Node = Net.node(N);
-    if (isDummyKind(Node.L.Kind))
-      continue;
-    CostBreakdown B =
-        Plan.ConvThreads.empty()
-            ? Costs.convCostBreakdown(Node.Scenario, Plan.ConvPrim[N])
-            : Costs.convCostBreakdownAt(Node.Scenario, Plan.ConvPrim[N],
-                                        Plan.convThreads(N));
+  for (NetworkGraph::NodeId N : Net.convNodes()) {
+    CostBreakdown B = Costs.cost(nodeQuery(Plan, Net, N));
     Total.PerRunMs += B.PerRunMs;
     Total.AmortizedMs += B.AmortizedMs;
   }
-  for (const auto &[Edge, Chain] : Plan.Chains) {
-    assert(Chain.size() >= 2 && "degenerate legalization chain");
-    NetworkGraph::NodeId Producer = Net.node(Edge.first).Inputs[Edge.second];
-    const TensorShape &Shape = Net.node(Producer).OutShape;
-    for (size_t I = 0; I + 1 < Chain.size(); ++I) {
-      CostBreakdown B =
-          Costs.transformCostBreakdown(Chain[I], Chain[I + 1], Shape);
-      Total.PerRunMs += B.PerRunMs;
-      Total.AmortizedMs += B.AmortizedMs;
-    }
-  }
+  forEachHop(Plan, Net, Costs, [&](double Ms) { Total.PerRunMs += Ms; });
   return Total;
 }
 

@@ -32,23 +32,24 @@ PBQPFormulation primsel::buildPBQP(
     DTTableCache &Tables, bool AmortizeWeightTransforms,
     const std::vector<unsigned> &ThreadCandidates,
     const std::vector<std::vector<PrimitiveId>> *RestrictConv) {
+  assert(Tables.batch() == Net.batch() &&
+         "DT tables must be weighted by the network's batch");
   PBQPFormulation F;
   F.ConvAlternatives.resize(Net.numNodes());
   F.ConvAltThreads.resize(Net.numNodes());
   F.LayoutAlternatives.resize(Net.numNodes());
 
-  // The thread axis of the alternative space; {1} keeps the historical
-  // single-threaded formulation bit-for-bit (convCostAt(S, Id, 1) defaults
-  // to convCost(S, Id) in every provider).
+  // The thread axis of the alternative space, and the CostQuery thread
+  // value behind each entry: the default axis {1} asks for the provider's
+  // configured count, since an explicit 1 is not the same query as "no
+  // thread decision" for providers that model a fixed multi-threaded
+  // machine.
   std::vector<unsigned> ThreadAxis = ThreadCandidates;
   if (ThreadAxis.empty())
     ThreadAxis.push_back(1);
   for (unsigned &T : ThreadAxis)
     T = std::max(T, 1u);
-  // The default axis asks the provider through the legacy entry points:
-  // an explicit count of 1 is not the same query as "no thread decision"
-  // for providers configured to model a fixed multi-threaded machine.
-  bool DefaultAxis = ThreadAxis.size() == 1 && ThreadAxis[0] == 1;
+  std::vector<unsigned> QueryThreads = costQueryThreads(ThreadAxis);
 
   // Nodes: cost vectors over alternatives. Both costed kinds (Conv and
   // DepthwiseConv) draw their alternatives from the library; the supporting
@@ -85,18 +86,12 @@ PBQPFormulation primsel::buildPBQP(
       pbqp::CostVector V(
           static_cast<unsigned>(Prims.size() * ThreadAxis.size()));
       unsigned I = 0;
-      for (unsigned T : ThreadAxis)
+      for (size_t TI = 0; TI < ThreadAxis.size(); ++TI)
         for (PrimitiveId Id : Prims) {
-          if (DefaultAxis)
-            V[I++] = AmortizeWeightTransforms
-                         ? Costs.convServingCost(Node.Scenario, Id)
-                         : Costs.convCost(Node.Scenario, Id);
-          else
-            V[I++] = AmortizeWeightTransforms
-                         ? Costs.convServingCostAt(Node.Scenario, Id, T)
-                         : Costs.convCostAt(Node.Scenario, Id, T);
+          CostBreakdown B = Costs.cost({Node.Scenario, Id, QueryThreads[TI]});
+          V[I++] = AmortizeWeightTransforms ? B.PerRunMs : B.totalMs();
           Alts.push_back(Id);
-          AltThreads.push_back(T);
+          AltThreads.push_back(ThreadAxis[TI]);
         }
       F.ConvAlternatives[N] = std::move(Alts);
       F.ConvAltThreads[N] = std::move(AltThreads);

@@ -54,13 +54,14 @@ struct PBQPFormulation {
 /// per-inference component of the provider's breakdown -- the weight-side
 /// prepare work is compile-time in a compile-once/serve-many deployment,
 /// so it must not influence the steady-state selection. Edge costs are
-/// activation-side and identical in both modes.
+/// activation-side and identical in both modes; \p Tables must weight them
+/// by the network's batch (DTTableCache(Costs, Net.batch())).
 ///
 /// \p ThreadCandidates enables the thread-count dimension: each conv node's
 /// alternatives become the cross product of supporting primitives and the
-/// candidate worker counts, costed via the provider's convCostAt family.
-/// Empty (the default) means {1} -- the historical single-threaded
-/// formulation, bit-for-bit. A primitive's layouts do not depend on its
+/// candidate worker counts, each costed with that count as
+/// CostQuery::Threads. Empty (the default) means {1}, which queries
+/// Threads = 0 -- the provider's configured count (costQueryThreads). A primitive's layouts do not depend on its
 /// worker count, so edge cost matrices replicate naturally across the
 /// thread axis and the PBQP structure is otherwise unchanged.
 ///

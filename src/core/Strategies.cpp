@@ -96,7 +96,7 @@ std::optional<PrimitiveId> cheapest(const std::vector<PrimitiveId> &Candidates,
   std::optional<PrimitiveId> Best;
   double BestCost = std::numeric_limits<double>::infinity();
   for (PrimitiveId Id : Candidates) {
-    double C = Costs.convCost(S, Id);
+    double C = Costs.cost({S, Id}).totalMs();
     if (C < BestCost) {
       BestCost = C;
       Best = Id;
@@ -194,7 +194,8 @@ NetworkPlan primsel::planForStrategy(Strategy S, const NetworkGraph &Net,
                                                      : ConvFamily::FFT;
       std::optional<PrimitiveId> Best =
           cheapest(Lib.supporting(Sc, F), Sc, Costs);
-      if (Best && Costs.convCost(Sc, *Best) < Costs.convCost(Sc, Sum2D))
+      if (Best && Costs.cost({Sc, *Best}).totalMs() <
+                      Costs.cost({Sc, Sum2D}).totalMs())
         Chosen = *Best;
       break;
     }
@@ -256,7 +257,7 @@ NetworkPlan primsel::planForStrategy(Strategy S, const NetworkGraph &Net,
   }
 
   assignDummyLayouts(Plan, Net, Lib, FixedDummyLayout);
-  DTTableCache Tables(Costs);
+  DTTableCache Tables(Costs, Net.batch());
   bool Legal = legalize(Plan, Net, Tables);
   assert(Legal && "strategy produced an illegalizable plan");
   (void)Legal;

@@ -395,48 +395,19 @@ AnalyticCostProvider::AnalyticCostProvider(const PrimitiveLibrary &Lib,
                                            unsigned Threads)
     : Lib(Lib), Profile(Profile), Threads(Threads) {}
 
-double AnalyticCostProvider::convCost(const ConvScenario &S, PrimitiveId Id) {
-  // The one-shot total: what a per-request-instantiating executor pays --
-  // weight packing/transform (analyticConvPrepareCost), then the run
-  // itself (analyticConvCost, which prices the run phase only: e.g. the
-  // fft "-kc-" variant's run term assumes its spectra are already cached,
-  // and the Winograd run terms cover the input/output transforms, not
-  // U = G g G^T). Keeping the two phases disjoint here is what makes the
-  // serving breakdown below an exact, double-counting-free split.
-  return analyticConvCost(Lib.get(Id), S, Profile, Threads) +
-         analyticConvPrepareCost(Lib.get(Id), S, Profile);
+CostBreakdown AnalyticCostProvider::cost(const CostQuery &Q) {
+  // The run-phase model prices the run only (e.g. the fft "-kc-" variant's
+  // run term assumes its spectra are already cached, and the Winograd run
+  // terms cover the input/output transforms, not U = G g G^T); keeping the
+  // two phases disjoint is what makes the breakdown an exact split.
+  const ConvPrimitive &P = Lib.get(Q.Id);
+  return {analyticConvCost(P, Q.S, Profile, Q.Threads ? Q.Threads : Threads),
+          analyticConvPrepareCost(P, Q.S, Profile)};
 }
 
 double AnalyticCostProvider::transformCost(Layout From, Layout To,
                                            const TensorShape &Shape) {
   return analyticTransformCost(From, To, Shape, Profile, Threads);
-}
-
-CostBreakdown AnalyticCostProvider::convCostBreakdown(const ConvScenario &S,
-                                                      PrimitiveId Id) {
-  // The exact two-phase split of convCost(): the run-phase model is the
-  // per-inference component, the prepare model the amortizable one.
-  return {analyticConvCost(Lib.get(Id), S, Profile, Threads),
-          analyticConvPrepareCost(Lib.get(Id), S, Profile)};
-}
-
-double AnalyticCostProvider::convCostAt(const ConvScenario &S,
-                                        PrimitiveId Id, unsigned Threads) {
-  return analyticConvCost(Lib.get(Id), S, Profile, Threads) +
-         analyticConvPrepareCost(Lib.get(Id), S, Profile);
-}
-
-double AnalyticCostProvider::convServingCostAt(const ConvScenario &S,
-                                               PrimitiveId Id,
-                                               unsigned Threads) {
-  return analyticConvCost(Lib.get(Id), S, Profile, Threads);
-}
-
-CostBreakdown AnalyticCostProvider::convCostBreakdownAt(const ConvScenario &S,
-                                                        PrimitiveId Id,
-                                                        unsigned Threads) {
-  return {analyticConvCost(Lib.get(Id), S, Profile, Threads),
-          analyticConvPrepareCost(Lib.get(Id), S, Profile)};
 }
 
 std::string AnalyticCostProvider::identity() const {

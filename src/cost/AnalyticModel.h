@@ -33,31 +33,19 @@ public:
   AnalyticCostProvider(const PrimitiveLibrary &Lib,
                        const MachineProfile &Profile, unsigned Threads = 1);
 
-  /// The one-shot total: analyticConvCost (the run phase) *plus*
-  /// analyticConvPrepareCost (the weight-side phase) -- exactly what a
-  /// per-request-instantiating executor pays per request, pack/transform
-  /// then run.
-  double convCost(const ConvScenario &S, PrimitiveId Id) override;
+  /// The exact two-phase split: PerRunMs is the run-phase model
+  /// (analyticConvCost, the steady-state cost a CompiledNet context pays)
+  /// at Q.Threads, or at the configured count when Q.Threads is 0;
+  /// AmortizedMs is the prepare-phase model (analyticConvPrepareCost).
+  /// totalMs() is the one-shot cost a per-request-instantiating executor
+  /// pays, pack/transform then run, and nothing is double-credited in
+  /// either mode. The explicit thread count is what lets the solver weigh
+  /// (primitive, threads) pairs: a bandwidth-bound primitive gains little
+  /// from more workers while a compute-bound GEMM scales, and the Amdahl
+  /// terms in analyticConvCost encode exactly that.
+  CostBreakdown cost(const CostQuery &Q) override;
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override;
-  /// The exact two-phase split of convCost(): PerRunMs is the run-phase
-  /// model alone (the steady-state cost a CompiledNet context pays),
-  /// AmortizedMs the prepare-phase model; their sum is convCost(S, Id)
-  /// bit-exactly, so nothing is double-credited in either mode.
-  CostBreakdown convCostBreakdown(const ConvScenario &S,
-                                  PrimitiveId Id) override;
-  /// Thread-count dimension: the same model evaluated at an explicit worker
-  /// count instead of the provider's configured one. This is what lets the
-  /// solver weigh (primitive, threads) pairs against each other -- a
-  /// bandwidth-bound primitive gains little from more workers while a
-  /// compute-bound GEMM scales, and the Amdahl terms in analyticConvCost
-  /// encode exactly that.
-  double convCostAt(const ConvScenario &S, PrimitiveId Id,
-                    unsigned Threads) override;
-  double convServingCostAt(const ConvScenario &S, PrimitiveId Id,
-                           unsigned Threads) override;
-  CostBreakdown convCostBreakdownAt(const ConvScenario &S, PrimitiveId Id,
-                                    unsigned Threads) override;
   /// "analytic:<profile>:t<threads>" -- costs are a pure function of the
   /// machine profile and the modelled thread count.
   std::string identity() const override;
@@ -70,8 +58,8 @@ private:
 
 /// Modelled milliseconds of the *run phase* for one primitive on one
 /// scenario (weight-side prepare work excluded -- see
-/// analyticConvPrepareCost; AnalyticCostProvider::convCost reports the
-/// sum). Exposed for tests and the Table 1 bench.
+/// analyticConvPrepareCost; AnalyticCostProvider::cost reports both).
+/// Exposed for tests and the Table 1 bench.
 double analyticConvCost(const ConvPrimitive &P, const ConvScenario &S,
                         const MachineProfile &Profile, unsigned Threads);
 

@@ -19,136 +19,33 @@ size_t CachingCostProvider::TransformKeyHash::operator()(
   return H;
 }
 
-double CachingCostProvider::convCost(const ConvScenario &S, PrimitiveId Id) {
-  ConvKey Key{S, Id};
+template <typename Table, typename Key, typename EvalFn>
+typename Table::mapped_type
+CachingCostProvider::lookup(Table &T, const Key &K, uint64_t &Queries,
+                            uint64_t &Misses, EvalFn Eval) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.ConvQueries;
-    auto It = ConvCache.find(Key);
-    if (It != ConvCache.end())
+    ++Queries;
+    auto It = T.find(K);
+    if (It != T.end())
       return It->second;
-    ++Stats.ConvMisses;
+    ++Misses;
   }
-  double Millis = Inner.convCost(S, Id);
+  typename Table::mapped_type V = Eval();
   std::lock_guard<std::mutex> Lock(Mutex);
-  return ConvCache.emplace(Key, Millis).first->second;
+  return T.emplace(K, V).first->second;
+}
+
+CostBreakdown CachingCostProvider::cost(const CostQuery &Q) {
+  return lookup(ConvCache, Q, Stats.ConvQueries, Stats.ConvMisses,
+                [&] { return Inner.cost(Q); });
 }
 
 double CachingCostProvider::transformCost(Layout From, Layout To,
                                           const TensorShape &Shape) {
-  TransformKey Key{From, To, Shape};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.TransformQueries;
-    auto It = TransformCache.find(Key);
-    if (It != TransformCache.end())
-      return It->second;
-    ++Stats.TransformMisses;
-  }
-  double Millis = Inner.transformCost(From, To, Shape);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return TransformCache.emplace(Key, Millis).first->second;
-}
-
-CostBreakdown CachingCostProvider::convCostBreakdown(const ConvScenario &S,
-                                                     PrimitiveId Id) {
-  ConvKey Key{S, Id};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = BreakdownCache.find(Key);
-    if (It != BreakdownCache.end())
-      return It->second;
-  }
-  CostBreakdown B = Inner.convCostBreakdown(S, Id);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return BreakdownCache.emplace(Key, B).first->second;
-}
-
-CostBreakdown
-CachingCostProvider::transformCostBreakdown(Layout From, Layout To,
-                                            const TensorShape &Shape) {
-  TransformKey Key{From, To, Shape};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = TransformBreakdownCache.find(Key);
-    if (It != TransformBreakdownCache.end())
-      return It->second;
-  }
-  CostBreakdown B = Inner.transformCostBreakdown(From, To, Shape);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return TransformBreakdownCache.emplace(Key, B).first->second;
-}
-
-double CachingCostProvider::convServingCost(const ConvScenario &S,
-                                            PrimitiveId Id) {
-  ConvKey Key{S, Id};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto BIt = BreakdownCache.find(Key);
-    if (BIt != BreakdownCache.end())
-      return BIt->second.PerRunMs;
-    auto It = ServingCache.find(Key);
-    if (It != ServingCache.end())
-      return It->second;
-  }
-  double Millis = Inner.convServingCost(S, Id);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return ServingCache.emplace(Key, Millis).first->second;
-}
-
-double CachingCostProvider::convCostAt(const ConvScenario &S, PrimitiveId Id,
-                                       unsigned Threads) {
-  if (Threads <= 1)
-    return convCost(S, Id);
-  ConvThreadKey Key{S, Id, Threads};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.ConvQueries;
-    auto It = ConvAtCache.find(Key);
-    if (It != ConvAtCache.end())
-      return It->second;
-    ++Stats.ConvMisses;
-  }
-  double Millis = Inner.convCostAt(S, Id, Threads);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return ConvAtCache.emplace(Key, Millis).first->second;
-}
-
-double CachingCostProvider::convServingCostAt(const ConvScenario &S,
-                                              PrimitiveId Id,
-                                              unsigned Threads) {
-  if (Threads <= 1)
-    return convServingCost(S, Id);
-  ConvThreadKey Key{S, Id, Threads};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto BIt = BreakdownAtCache.find(Key);
-    if (BIt != BreakdownAtCache.end())
-      return BIt->second.PerRunMs;
-    auto It = ServingAtCache.find(Key);
-    if (It != ServingAtCache.end())
-      return It->second;
-  }
-  double Millis = Inner.convServingCostAt(S, Id, Threads);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return ServingAtCache.emplace(Key, Millis).first->second;
-}
-
-CostBreakdown CachingCostProvider::convCostBreakdownAt(const ConvScenario &S,
-                                                       PrimitiveId Id,
-                                                       unsigned Threads) {
-  if (Threads <= 1)
-    return convCostBreakdown(S, Id);
-  ConvThreadKey Key{S, Id, Threads};
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = BreakdownAtCache.find(Key);
-    if (It != BreakdownAtCache.end())
-      return It->second;
-  }
-  CostBreakdown B = Inner.convCostBreakdownAt(S, Id, Threads);
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return BreakdownAtCache.emplace(Key, B).first->second;
+  return lookup(TransformCache, TransformKey{From, To, Shape},
+                Stats.TransformQueries, Stats.TransformMisses,
+                [&] { return Inner.transformCost(From, To, Shape); });
 }
 
 size_t CachingCostProvider::size() const {
@@ -158,22 +55,26 @@ size_t CachingCostProvider::size() const {
 
 void CachingCostProvider::prepopulate(const NetworkGraph &Net,
                                       const PrimitiveLibrary &Lib,
-                                      ThreadPool &Pool) {
+                                      ThreadPool &Pool,
+                                      const std::vector<unsigned> &ThreadAxis) {
   // Gather the uncached work items: every supporting primitive of every
-  // distinct conv scenario, and every direct transform routine on every
-  // distinct tensor shape flowing along an edge.
-  std::vector<ConvKey> ConvWork;
+  // distinct conv scenario at every thread value the builder will query,
+  // and every direct transform routine on every distinct tensor shape
+  // flowing along an edge.
+  std::vector<CostQuery> ConvWork;
   std::vector<TransformKey> TransformWork;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
+    std::vector<unsigned> Threads = costQueryThreads(ThreadAxis);
     std::set<std::string> SeenScenarios;
     for (NetworkGraph::NodeId N : Net.convNodes()) {
       const ConvScenario &S = Net.node(N).Scenario;
       if (!SeenScenarios.insert(S.key()).second)
         continue;
-      for (PrimitiveId Id : Lib.supporting(S))
-        if (!ConvCache.count(ConvKey{S, Id}))
-          ConvWork.push_back(ConvKey{S, Id});
+      for (unsigned T : Threads)
+        for (PrimitiveId Id : Lib.supporting(S))
+          if (!ConvCache.count(CostQuery{S, Id, T}))
+            ConvWork.push_back(CostQuery{S, Id, T});
     }
     std::set<std::tuple<int64_t, int64_t, int64_t>> SeenShapes;
     for (const NetworkGraph::Node &Node : Net.nodes()) {
@@ -189,9 +90,9 @@ void CachingCostProvider::prepopulate(const NetworkGraph &Net,
   // Evaluate in parallel into dense result arrays (each index is touched by
   // exactly one worker), then publish under the lock. Raw evaluations are
   // counted as queries+misses so the stats stay an exact eval count.
-  std::vector<double> ConvMillis(ConvWork.size());
+  std::vector<CostBreakdown> ConvCosts(ConvWork.size());
   Pool.parallelFor(0, static_cast<int64_t>(ConvWork.size()), [&](int64_t I) {
-    ConvMillis[I] = Inner.convCost(ConvWork[I].S, ConvWork[I].Id);
+    ConvCosts[I] = Inner.cost(ConvWork[I]);
   });
   std::vector<double> TransformMillis(TransformWork.size());
   Pool.parallelFor(0, static_cast<int64_t>(TransformWork.size()),
@@ -203,7 +104,7 @@ void CachingCostProvider::prepopulate(const NetworkGraph &Net,
 
   std::lock_guard<std::mutex> Lock(Mutex);
   for (size_t I = 0; I < ConvWork.size(); ++I)
-    ConvCache.emplace(ConvWork[I], ConvMillis[I]);
+    ConvCache.emplace(ConvWork[I], ConvCosts[I]);
   for (size_t I = 0; I < TransformWork.size(); ++I)
     TransformCache.emplace(TransformWork[I], TransformMillis[I]);
   Stats.ConvQueries += ConvWork.size();

@@ -15,6 +15,12 @@
 /// observable, and can pre-populate the table in parallel on a ThreadPool
 /// before the (serial) builder runs.
 ///
+/// It holds two tables: whole CostBreakdowns keyed by the CostQuery exactly
+/// as asked (Threads 0 and 1 are distinct keys, as they are distinct
+/// questions), and direct transform costs keyed by (from, to, shape). One
+/// entry serves both selection modes, since each reads its half of the
+/// breakdown.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIMSEL_COST_CACHINGCOSTPROVIDER_H
@@ -48,78 +54,34 @@ class CachingCostProvider : public CostProvider {
 public:
   explicit CachingCostProvider(CostProvider &Inner) : Inner(Inner) {}
 
-  double convCost(const ConvScenario &S, PrimitiveId Id) override;
+  CostBreakdown cost(const CostQuery &Q) override;
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override;
-  /// Memoized like convCost, in its own table (a breakdown query against a
-  /// measuring provider triggers a prepare() measurement, so serving-mode
-  /// selection must not pay it twice). Breakdown queries do not perturb the
-  /// legacy hit/miss counters -- those remain an exact count of the scalar
-  /// evaluations the historical stats reports describe.
-  CostBreakdown convCostBreakdown(const ConvScenario &S,
-                                  PrimitiveId Id) override;
-  CostBreakdown transformCostBreakdown(Layout From, Layout To,
-                                       const TensorShape &Shape) override;
-  /// Memoized forward of the inner provider's serving cost (served from
-  /// the breakdown memo when one exists, so the two tables never
-  /// disagree).
-  double convServingCost(const ConvScenario &S, PrimitiveId Id) override;
-  /// Thread-keyed memoization of the thread-count cost dimension. Threads
-  /// <= 1 routes to the legacy single-thread entry points so the two memo
-  /// tables coincide (a (S, Id, 1) query and a (S, Id) query must never
-  /// evaluate the inner provider twice, and must never disagree).
-  double convCostAt(const ConvScenario &S, PrimitiveId Id,
-                    unsigned Threads) override;
-  double convServingCostAt(const ConvScenario &S, PrimitiveId Id,
-                           unsigned Threads) override;
-  CostBreakdown convCostBreakdownAt(const ConvScenario &S, PrimitiveId Id,
-                                    unsigned Threads) override;
   /// Memoization does not change the costs: forward the inner identity.
   std::string identity() const override { return Inner.identity(); }
 
-  /// Evaluate, on \p Pool, every cost the PBQP builder will ask for over
-  /// \p Net -- each conv scenario against each supporting primitive of
-  /// \p Lib, and each direct transform routine on each distinct edge shape
-  /// -- skipping entries already cached. The wrapped provider must tolerate
-  /// concurrent calls when the pool is wider than one thread (the analytic
-  /// model does; the measuring profiler does not, and should prepopulate on
-  /// a 1-thread pool or rely on lazy fills).
+  /// Evaluate, on \p Pool, every cost buildPBQP will ask for over \p Net
+  /// with the thread axis \p ThreadAxis -- each conv scenario against each
+  /// supporting primitive of \p Lib at each costQueryThreads(ThreadAxis)
+  /// value, and each direct transform routine on each distinct edge shape
+  /// -- skipping entries already cached. The wrapped provider must
+  /// tolerate concurrent calls when the pool is wider than one thread (the
+  /// analytic model does; the measuring profiler does not, and should
+  /// prepopulate on a 1-thread pool or rely on lazy fills).
   void prepopulate(const NetworkGraph &Net, const PrimitiveLibrary &Lib,
-                   ThreadPool &Pool);
+                   ThreadPool &Pool,
+                   const std::vector<unsigned> &ThreadAxis = {});
 
   const CostCacheStats &stats() const { return Stats; }
-  void resetStats() { Stats = {}; }
 
   /// Entries currently memoized (conv + transform).
   size_t size() const;
 
-  CostProvider &inner() { return Inner; }
-
 private:
-  struct ConvKey {
-    ConvScenario S;
-    PrimitiveId Id;
-    bool operator==(const ConvKey &O) const {
-      return Id == O.Id && S == O.S;
-    }
-  };
-  struct ConvKeyHash {
-    size_t operator()(const ConvKey &K) const {
-      return ConvScenarioHash()(K.S) * 1000003u + K.Id;
-    }
-  };
-  struct ConvThreadKey {
-    ConvScenario S;
-    PrimitiveId Id;
-    unsigned Threads;
-    bool operator==(const ConvThreadKey &O) const {
-      return Id == O.Id && Threads == O.Threads && S == O.S;
-    }
-  };
-  struct ConvThreadKeyHash {
-    size_t operator()(const ConvThreadKey &K) const {
-      return (ConvScenarioHash()(K.S) * 1000003u + K.Id) * 1000003u +
-             K.Threads;
+  struct QueryHash {
+    size_t operator()(const CostQuery &Q) const {
+      return (ConvScenarioHash()(Q.S) * 1000003u + Q.Id) * 1000003u +
+             Q.Threads;
     }
   };
   struct TransformKey {
@@ -134,20 +96,17 @@ private:
     size_t operator()(const TransformKey &K) const;
   };
 
+  /// Look \p K up in \p T, counting a query (and, on a miss, a raw
+  /// evaluation); on a miss run \p Eval outside the lock and publish.
+  template <typename Table, typename Key, typename EvalFn>
+  typename Table::mapped_type lookup(Table &T, const Key &K,
+                                     uint64_t &Queries, uint64_t &Misses,
+                                     EvalFn Eval);
+
   CostProvider &Inner;
   mutable std::mutex Mutex;
-  std::unordered_map<ConvKey, double, ConvKeyHash> ConvCache;
+  std::unordered_map<CostQuery, CostBreakdown, QueryHash> ConvCache;
   std::unordered_map<TransformKey, double, TransformKeyHash> TransformCache;
-  std::unordered_map<ConvKey, CostBreakdown, ConvKeyHash> BreakdownCache;
-  std::unordered_map<TransformKey, CostBreakdown, TransformKeyHash>
-      TransformBreakdownCache;
-  std::unordered_map<ConvKey, double, ConvKeyHash> ServingCache;
-  /// Thread-count-dimension memo tables; hold only Threads > 1 entries
-  /// (Threads <= 1 lives in the legacy tables above).
-  std::unordered_map<ConvThreadKey, double, ConvThreadKeyHash> ConvAtCache;
-  std::unordered_map<ConvThreadKey, double, ConvThreadKeyHash> ServingAtCache;
-  std::unordered_map<ConvThreadKey, CostBreakdown, ConvThreadKeyHash>
-      BreakdownAtCache;
   CostCacheStats Stats;
 };
 

@@ -9,6 +9,15 @@
 /// by the layerwise profiler (the paper's approach, §3.1) or estimated by
 /// the analytic machine model (our substitute for hardware we do not have).
 ///
+/// A provider answers exactly the two cost kinds of the paper's PBQP
+/// instance (§3.2). cost(CostQuery) returns one instance cost as a
+/// CostBreakdown, and every caller picks its mode from the breakdown:
+/// one-shot selection reads totalMs(), serving-mode selection PerRunMs.
+/// Thread count and minibatch size are query fields, not separate entry
+/// points. transformCost() prices one direct layout-transform routine on
+/// one image; the formulation (core/DTGraph.h, core/Legalizer.h) weights it
+/// by the graph's batch.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIMSEL_COST_COSTPROVIDER_H
@@ -18,6 +27,10 @@
 #include "nn/Layer.h"
 #include "primitives/Registry.h"
 #include "tensor/Layout.h"
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 namespace primsel {
 
@@ -34,6 +47,38 @@ struct CostBreakdown {
   double totalMs() const { return PerRunMs + AmortizedMs; }
 };
 
+/// One instance-cost query: implement scenario \p S (whose Batch field
+/// carries the minibatch size) with primitive \p Id on up to \p Threads
+/// intra-op workers. Threads == 0 asks for the provider's configured
+/// count; any other value asks for that count exactly. The distinction
+/// matters for providers that model or measure a fixed multi-threaded
+/// machine (the paper's separate (M) cost model, §5.2).
+struct CostQuery {
+  ConvScenario S;
+  PrimitiveId Id = 0;
+  unsigned Threads = 0;
+
+  bool operator==(const CostQuery &O) const {
+    return Id == O.Id && Threads == O.Threads && S == O.S;
+  }
+};
+
+/// The CostQuery::Threads value behind each entry of a formulation's
+/// thread axis. The default axis {1} carries no thread decision, so it
+/// asks for the provider's configured count (0); an explicit axis asks
+/// for each count as given (clamped to >= 1). The PBQP builder and
+/// CachingCostProvider::prepopulate both map through here, so
+/// prepopulation fills exactly the keys the builder asks for.
+inline std::vector<unsigned>
+costQueryThreads(const std::vector<unsigned> &Axis) {
+  if (Axis.empty() || (Axis.size() == 1 && Axis[0] <= 1))
+    return {0};
+  std::vector<unsigned> Threads = Axis;
+  for (unsigned &T : Threads)
+    T = std::max(T, 1u);
+  return Threads;
+}
+
 /// Supplies the two cost kinds the PBQP formulation needs (paper §3.2):
 /// instance costs for (scenario, primitive) pairs, and data layout
 /// transformation costs for the tensors flowing along graph edges.
@@ -41,88 +86,20 @@ class CostProvider {
 public:
   virtual ~CostProvider();
 
-  /// Execution time, in milliseconds, of implementing \p S with primitive
-  /// \p Id. Only called when the primitive supports the scenario.
-  virtual double convCost(const ConvScenario &S, PrimitiveId Id) = 0;
+  /// Instance cost of \p Q, in milliseconds, split into its per-inference
+  /// and amortizable weight-side halves. Only called when the primitive
+  /// supports the scenario. Both halves are non-negative; weight-side
+  /// prepare work is single-threaded, so only PerRunMs may vary with
+  /// Q.Threads.
+  virtual CostBreakdown cost(const CostQuery &Q) = 0;
 
   /// Execution time, in milliseconds, of one *direct* transform routine
-  /// From -> To on a tensor of \p Shape. Only called for routines in
-  /// directTransformRoutines().
+  /// From -> To on one image of \p Shape. Only called for routines in
+  /// directTransformRoutines(). Transforms act on activations, which every
+  /// inference converts afresh, so the whole cost is per-run; batched
+  /// formulations multiply it by the minibatch size.
   virtual double transformCost(Layout From, Layout To,
                                const TensorShape &Shape) = 0;
-
-  /// The instance cost split into per-inference and amortizable weight-side
-  /// components. The default declares everything per-inference (correct for
-  /// providers with no notion of prepare-time work); providers that can
-  /// attribute weight-transform work override it. Invariants every override
-  /// must keep: both components are non-negative, and PerRunMs never
-  /// exceeds convCost(S, Id) -- serving-mode selection relies on amortized
-  /// per-inference costs being no dearer than the one-shot totals.
-  virtual CostBreakdown convCostBreakdown(const ConvScenario &S,
-                                          PrimitiveId Id) {
-    return {convCost(S, Id), 0.0};
-  }
-
-  /// Transform-cost counterpart of convCostBreakdown. Edge transforms act
-  /// on activations, which every inference must convert afresh, so the
-  /// default -- all per-run, nothing amortizable -- is final in spirit;
-  /// the hook exists so providers stay uniform if a weight-side transform
-  /// edge ever appears.
-  virtual CostBreakdown transformCostBreakdown(Layout From, Layout To,
-                                               const TensorShape &Shape) {
-    return {transformCost(From, To, Shape), 0.0};
-  }
-
-  /// The per-inference instance cost serving-mode selection feeds into the
-  /// PBQP node vectors: exactly convCostBreakdown().PerRunMs, but a
-  /// separate entry point because the formulation queries it for *every*
-  /// candidate of every node -- providers whose per-run component already
-  /// equals the legacy scalar (the measuring profiler, whose convCost has
-  /// always timed run() with instantiation outside the timer) override it
-  /// to skip the prepare-side work the full breakdown would trigger.
-  virtual double convServingCost(const ConvScenario &S, PrimitiveId Id) {
-    return convCostBreakdown(S, Id).PerRunMs;
-  }
-
-  /// Thread-count-aware instance cost: the time of implementing \p S with
-  /// primitive \p Id when its intra-op loops may use up to \p Threads
-  /// workers. This is the query behind the solver's thread-count dimension
-  /// (a conv node's PBQP alternatives are (primitive, threads) pairs). The
-  /// default ignores Threads, which is correct for providers that model a
-  /// fixed configuration; the analytic model and the measuring profiler
-  /// override it. Distinctly named (not an overload of convCost) so
-  /// overriding one signature never hides the other.
-  virtual double convCostAt(const ConvScenario &S, PrimitiveId Id,
-                            unsigned Threads) {
-    (void)Threads;
-    return convCost(S, Id);
-  }
-
-  /// Thread-count-aware counterpart of convServingCost.
-  virtual double convServingCostAt(const ConvScenario &S, PrimitiveId Id,
-                                   unsigned Threads) {
-    (void)Threads;
-    return convServingCost(S, Id);
-  }
-
-  /// Thread-count-aware counterpart of convCostBreakdown. Weight-side
-  /// prepare work is single-threaded by design, so only the per-run
-  /// component may vary with Threads.
-  virtual CostBreakdown convCostBreakdownAt(const ConvScenario &S,
-                                            PrimitiveId Id,
-                                            unsigned Threads) {
-    (void)Threads;
-    return convCostBreakdown(S, Id);
-  }
-
-  /// Modelled per-step interpreter overhead (ms): dispatch, per-step
-  /// timing and value-table bookkeeping the interpreted ExecutionContext
-  /// pays on every step and a JIT-compiled straight-line program does not.
-  /// The engine's JIT dimension credits this times the plan's step count;
-  /// keeping it non-negative guarantees the modelled JIT per-run cost
-  /// never exceeds the interpreted cost. Providers with measurements may
-  /// override.
-  virtual double dispatchOverheadMs() const { return 2e-4; }
 
   /// Stable text identity of the cost source -- the machine-profile
   /// component of the engine's plan-cache key (engine/PlanCache.h). Two
@@ -131,6 +108,12 @@ public:
   /// served for the other. The default covers ad-hoc test providers;
   /// production providers override it.
   virtual std::string identity() const { return "custom"; }
+
+  /// The per-inference cost of implementing \p S with \p Id at the
+  /// configured thread count: cost({S, Id}).PerRunMs.
+  double convServingCost(const ConvScenario &S, PrimitiveId Id) {
+    return cost({S, Id}).PerRunMs;
+  }
 };
 
 } // namespace primsel

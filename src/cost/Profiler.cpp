@@ -116,49 +116,23 @@ double MeasuredCostProvider::measurePrepare(const ConvScenario &S,
   return BestMillis;
 }
 
-CostBreakdown MeasuredCostProvider::convCostBreakdown(const ConvScenario &S,
-                                                      PrimitiveId Id) {
+CostBreakdown MeasuredCostProvider::cost(const CostQuery &Q) {
+  const std::string &Name = Lib.get(Q.Id).name();
   CostBreakdown B;
-  B.PerRunMs = convCost(S, Id);
-  const std::string &Name = Lib.get(Id).name();
-  if (Cache.hasPrepareCost(S, Name)) {
-    B.AmortizedMs = Cache.prepareCost(S, Name);
-    return B;
+  unsigned Threads = Q.Threads ? Q.Threads : Options.Threads;
+  if (Threads == Options.Threads) {
+    if (!Cache.hasConvCost(Q.S, Name))
+      Cache.setConvCost(Q.S, Name, measureConv(Q.S, Q.Id));
+    B.PerRunMs = Cache.convCost(Q.S, Name);
+  } else {
+    if (!Cache.hasConvCostAt(Q.S, Name, Threads))
+      Cache.setConvCostAt(Q.S, Name, Threads,
+                          measureConv(Q.S, Q.Id, Threads));
+    B.PerRunMs = Cache.convCostAt(Q.S, Name, Threads);
   }
-  B.AmortizedMs = measurePrepare(S, Id);
-  Cache.setPrepareCost(S, Name, B.AmortizedMs);
-  return B;
-}
-
-double MeasuredCostProvider::convCost(const ConvScenario &S, PrimitiveId Id) {
-  const std::string &Name = Lib.get(Id).name();
-  if (Cache.hasConvCost(S, Name))
-    return Cache.convCost(S, Name);
-  double Millis = measureConv(S, Id);
-  Cache.setConvCost(S, Name, Millis);
-  return Millis;
-}
-
-double MeasuredCostProvider::convCostAt(const ConvScenario &S, PrimitiveId Id,
-                                        unsigned Threads) {
-  if (Threads == Options.Threads)
-    return convCost(S, Id);
-  const std::string &Name = Lib.get(Id).name();
-  if (Cache.hasConvCostAt(S, Name, Threads))
-    return Cache.convCostAt(S, Name, Threads);
-  double Millis = measureConv(S, Id, Threads);
-  Cache.setConvCostAt(S, Name, Threads, Millis);
-  return Millis;
-}
-
-CostBreakdown
-MeasuredCostProvider::convCostBreakdownAt(const ConvScenario &S,
-                                          PrimitiveId Id, unsigned Threads) {
-  CostBreakdown B;
-  B.PerRunMs = convCostAt(S, Id, Threads);
-  // prepare() is single-threaded compile-time work, so the amortized
-  // component is shared across thread counts.
-  B.AmortizedMs = convCostBreakdown(S, Id).AmortizedMs;
+  if (!Cache.hasPrepareCost(Q.S, Name))
+    Cache.setPrepareCost(Q.S, Name, measurePrepare(Q.S, Q.Id));
+  B.AmortizedMs = Cache.prepareCost(Q.S, Name);
   return B;
 }
 
@@ -172,5 +146,5 @@ double MeasuredCostProvider::transformCost(Layout From, Layout To,
 }
 
 std::string MeasuredCostProvider::identity() const {
-  return "measured:t" + std::to_string(Options.Threads);
+  return "measured-v2:t" + std::to_string(Options.Threads);
 }

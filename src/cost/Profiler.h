@@ -46,38 +46,19 @@ public:
   MeasuredCostProvider(const PrimitiveLibrary &Lib,
                        const ProfilerOptions &Options = {});
 
-  double convCost(const ConvScenario &S, PrimitiveId Id) override;
+  /// PerRunMs is the memoized run measurement under a pool of Q.Threads
+  /// workers (0 = the configured Options.Threads, the un-suffixed record;
+  /// other counts use thread-keyed "|tN" records and pools created per
+  /// distinct count). AmortizedMs is the separately measured prepare()
+  /// time, memoized as a "prep" record and shared across thread counts.
+  /// Unlike the analytic model's totals, which contain the transform work
+  /// in one modelled figure, totalMs() here sums two direct measurements.
+  CostBreakdown cost(const CostQuery &Q) override;
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override;
-  /// PerRunMs is the memoized run measurement -- exactly convCost(), which
-  /// has always timed run() with instantiation outside the timer -- and
-  /// AmortizedMs is the separately measured prepare() time, memoized as a
-  /// "prep" record. (Unlike the analytic model, whose one-shot totals
-  /// contain the transform work, totalMs() here exceeds convCost: the
-  /// profiler measures the two phases directly.)
-  CostBreakdown convCostBreakdown(const ConvScenario &S,
-                                  PrimitiveId Id) override;
-  /// The measured per-run component is the legacy convCost() itself, so
-  /// serving-mode selection queries must not pay a prepare() measurement
-  /// per candidate -- only convCostBreakdown (asked per *selected*
-  /// primitive for the serving report) measures prepare.
-  double convServingCost(const ConvScenario &S, PrimitiveId Id) override {
-    return convCost(S, Id);
-  }
-  /// Thread-count dimension: measure the same (scenario, primitive) under a
-  /// pool of \p Threads workers, memoized as a thread-keyed CostDatabase
-  /// record ("|tN" key suffix; N == 1 aliases the legacy record). Pools are
-  /// created per distinct thread count and reused across measurements.
-  double convCostAt(const ConvScenario &S, PrimitiveId Id,
-                    unsigned Threads) override;
-  double convServingCostAt(const ConvScenario &S, PrimitiveId Id,
-                           unsigned Threads) override {
-    return convCostAt(S, Id, Threads);
-  }
-  CostBreakdown convCostBreakdownAt(const ConvScenario &S, PrimitiveId Id,
-                                    unsigned Threads) override;
-  /// "measured:t<threads>" -- measured costs are host-specific, so plan
-  /// caches built from them must not be shipped across machines.
+  /// "measured-v2:t<threads>" -- measured costs are host-specific, so plan
+  /// caches built from them must not be shipped across machines. (v2: the
+  /// one-shot total includes the measured prepare() time.)
   std::string identity() const override;
 
   /// Measure one primitive on one scenario (no cache involvement).

@@ -14,9 +14,7 @@ using namespace primsel;
 
 Engine::Engine(const PrimitiveLibrary &Lib, CostProvider &Costs,
                EngineOptions Options)
-    : Lib(Lib), Raw(Costs), Opts(std::move(Options)) {
-  if (Opts.CacheCosts)
-    Cache = std::make_unique<CachingCostProvider>(Raw);
+    : Lib(Lib), Opts(std::move(Options)), Cache(Costs) {
   if (Opts.Threads > 1)
     Pool = std::make_unique<ThreadPool>(Opts.Threads);
   Backend = pbqp::createSolverBackend(Opts.Solver);
@@ -26,12 +24,6 @@ Engine::Engine(const PrimitiveLibrary &Lib, CostProvider &Costs,
 }
 
 Engine::~Engine() = default;
-
-CostProvider &Engine::costs() { return Cache ? *Cache : Raw; }
-
-const CostCacheStats *Engine::cacheStats() const {
-  return Cache ? &Cache->stats() : nullptr;
-}
 
 namespace {
 
@@ -54,14 +46,13 @@ std::vector<unsigned> normalizedThreadCandidates(std::vector<unsigned> C) {
 /// totals-based plans of the same network -- and with the thread-candidate
 /// axis when it is wider than the historical {1} (thread-aware plans are
 /// solved over different node costs too).
-std::string costIdentityFor(const CostProvider &Raw,
-                            bool AmortizeWeightTransforms,
-                            const std::vector<unsigned> &ThreadCandidates,
-                            bool ConsiderJit) {
-  std::string Id = Raw.identity();
-  if (AmortizeWeightTransforms)
+std::string costIdentityFor(const CostProvider &Costs,
+                            const EngineOptions &Options) {
+  std::string Id = Costs.identity();
+  if (Options.AmortizeWeightTransforms)
     Id += "+amortized";
-  std::vector<unsigned> Axis = normalizedThreadCandidates(ThreadCandidates);
+  std::vector<unsigned> Axis =
+      normalizedThreadCandidates(Options.ExecThreadCandidates);
   if (Axis.size() != 1 || Axis[0] != 1) {
     Id += ":et";
     for (size_t I = 0; I < Axis.size(); ++I)
@@ -70,10 +61,17 @@ std::string costIdentityFor(const CostProvider &Raw,
   // The JIT dimension solves over the same node costs but reports an
   // extra modelled comparison; tag it so jit-aware and interpreter-only
   // plans never serve each other from the cache.
-  if (ConsiderJit)
+  if (Options.ConsiderJit)
     Id += ":jit";
   return Id;
 }
+
+/// Modelled per-step interpreter overhead (ms): dispatch, per-step timing
+/// and value-table bookkeeping the interpreted ExecutionContext pays on
+/// every step and a JIT-compiled straight-line program does not. Keeping
+/// it non-negative guarantees the modelled JIT per-run cost never exceeds
+/// the interpreted cost.
+constexpr double ModelledDispatchOverheadMs = 2e-4;
 
 /// Modelled one-time cost (ms) of JIT-compiling a plan with \p Steps
 /// execution steps: compiler process startup plus per-step source growth.
@@ -95,12 +93,21 @@ PlanKey Engine::planKey(const NetworkGraph &Net) const {
         transforms::PassPipeline::fromNames(Opts.Passes).run(Net);
     K.NetworkFingerprint = fingerprintNetwork(Rewritten, Lib);
   }
-  K.CostIdentity = costIdentityFor(Raw, Opts.AmortizeWeightTransforms,
-                                   Opts.ExecThreadCandidates,
-                                   Opts.ConsiderJit);
+  K.CostIdentity = costIdentityFor(Cache, Opts);
   K.SolverFingerprint = fingerprintSolver(Opts.Solver, Opts.SolverOptions);
   K.PassFingerprint = transforms::fingerprintPasses(Opts.Passes);
   return K;
+}
+
+PBQPFormulation Engine::build(const NetworkGraph &Target,
+                              const EngineOptions &Options,
+                              DTTableCache &Tables) {
+  std::vector<unsigned> ThreadAxis =
+      normalizedThreadCandidates(Options.ExecThreadCandidates);
+  if (Pool)
+    Cache.prepopulate(Target, Lib, *Pool, ThreadAxis);
+  return buildPBQP(Target, Lib, Cache, Tables,
+                   Options.AmortizeWeightTransforms, ThreadAxis);
 }
 
 SelectionResult Engine::run(const NetworkGraph &Net,
@@ -127,9 +134,7 @@ SelectionResult Engine::run(const NetworkGraph &Net,
   // through the generated straight-line program. Derived from the plan's
   // own modelled cost minus the per-step dispatch overhead (clamped, so
   // enabling the dimension can never increase the modelled cost), with
-  // the compiler invocation credited as amortizable prepare work. Queries
-  // go to the raw provider: CachingCostProvider memoizes only the conv/
-  // transform families.
+  // the compiler invocation credited as amortizable prepare work.
   auto attachJitModel = [&](SelectionResult &Res) {
     if (!Options.ConsiderJit || Res.Plan.empty())
       return;
@@ -139,16 +144,14 @@ SelectionResult Engine::run(const NetworkGraph &Net,
                                                    : Res.ModelledCostMs;
     Res.JitConsidered = true;
     Res.ModelledJitPerRunMs = std::max(
-        0.0, Base - Raw.dispatchOverheadMs() * static_cast<double>(Steps));
+        0.0, Base - ModelledDispatchOverheadMs * static_cast<double>(Steps));
     Res.ModelledJitCompileMs = modelledJitCompileMs(Steps);
   };
 
   PlanKey Key;
   if (Plans) {
     Key.NetworkFingerprint = fingerprintNetwork(*Target, Lib);
-    Key.CostIdentity = costIdentityFor(Raw, Options.AmortizeWeightTransforms,
-                                       Options.ExecThreadCandidates,
-                                       Options.ConsiderJit);
+    Key.CostIdentity = costIdentityFor(Cache, Options);
     Key.SolverFingerprint =
         fingerprintSolver(SolverBackend.name(), Options.SolverOptions);
     Key.PassFingerprint = transforms::fingerprintPasses(Options.Passes);
@@ -160,7 +163,7 @@ SelectionResult Engine::run(const NetworkGraph &Net,
       Hit->PlanCacheHit = true;
       Hit->BuildMillis = LookupTimer.millis();
       Hit->SolveMillis = 0.0;
-      Hit->Cache = Cache ? Cache->stats() : CostCacheStats{};
+      Hit->Cache = Cache.stats();
       // Hand the caller *this* run's rewritten graph: a memory hit may
       // carry the graph of a structurally-equal network solved earlier,
       // and a disk hit carries none.
@@ -177,15 +180,8 @@ SelectionResult Engine::run(const NetworkGraph &Net,
   R.Passes = std::move(PassStats);
 
   Timer BuildTimer;
-  if (Cache && Pool && Options.ParallelPrepopulate)
-    Cache->prepopulate(*Target, Lib, *Pool);
-
-  CostProvider &Provider = costs();
-  DTTableCache Tables(Provider);
-  PBQPFormulation F =
-      buildPBQP(*Target, Lib, Provider, Tables,
-                Options.AmortizeWeightTransforms,
-                normalizedThreadCandidates(Options.ExecThreadCandidates));
+  DTTableCache Tables(Cache, Target->batch());
+  PBQPFormulation F = build(*Target, Options, Tables);
   R.BuildMillis = BuildTimer.millis();
   R.NumNodes = F.G.numNodes();
   R.NumEdges = F.G.numEdges();
@@ -195,14 +191,13 @@ SelectionResult Engine::run(const NetworkGraph &Net,
   R.SolveMillis = SolveTimer.millis();
 
   R.Plan = planFromSolution(F, R.Solver.Selection, *Target, Lib, Tables);
-  R.ModelledCostMs = modelPlanCost(R.Plan, *Target, Lib, Provider);
+  R.ModelledCostMs = modelPlanCost(R.Plan, *Target, Lib, Cache);
   if (Options.AmortizeWeightTransforms) {
-    CostBreakdown PB = modelPlanCostBreakdown(R.Plan, *Target, Lib, Provider);
+    CostBreakdown PB = modelPlanCostBreakdown(R.Plan, *Target, Lib, Cache);
     R.ModelledPerRunMs = PB.PerRunMs;
     R.ModelledPrepareMs = PB.AmortizedMs;
   }
-  if (Cache)
-    R.Cache = Cache->stats();
+  R.Cache = Cache.stats();
   if (Plans)
     Plans->store(Key, R, *Target, Lib);
   attachJitModel(R);
@@ -232,11 +227,11 @@ NetworkPlan Engine::planFor(Strategy S, const NetworkGraph &Net) {
     NoPasses.Passes.clear();
     return run(Net, *Backend, NoPasses).Plan;
   }
-  return planForStrategy(S, Net, Lib, costs());
+  return planForStrategy(S, Net, Lib, Cache);
 }
 
 double Engine::planCost(const NetworkPlan &Plan, const NetworkGraph &Net) {
-  return modelPlanCost(Plan, Net, Lib, costs());
+  return modelPlanCost(Plan, Net, Lib, Cache);
 }
 
 PBQPFormulation Engine::formulate(const NetworkGraph &Net) {
@@ -249,13 +244,8 @@ PBQPFormulation Engine::formulate(const NetworkGraph &Net) {
     Rewritten = transforms::PassPipeline::fromNames(Opts.Passes).run(Net);
     Target = &Rewritten;
   }
-  if (Cache && Pool && Opts.ParallelPrepopulate)
-    Cache->prepopulate(*Target, Lib, *Pool);
-  CostProvider &Provider = costs();
-  DTTableCache Tables(Provider);
-  return buildPBQP(*Target, Lib, Provider, Tables,
-                   Opts.AmortizeWeightTransforms,
-                   normalizedThreadCandidates(Opts.ExecThreadCandidates));
+  DTTableCache Tables(Cache, Target->batch());
+  return build(*Target, Opts, Tables);
 }
 
 std::shared_ptr<const CompiledNet>
@@ -342,11 +332,6 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
     }
   }
 
-  // Layout transforms convert every image flowing along an edge, so their
-  // costs scale with the bucket; conv costs pass through (the scenario
-  // carries the batch). Threads forward to the engine's memoizing layer.
-  BatchTransformScaledProvider BucketCosts(costs(), Bucket);
-
   PlanKey Key;
   if (Plans) {
     Key.NetworkFingerprint = fingerprintNetwork(BNet, Lib);
@@ -355,10 +340,7 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
                   static_cast<long long>(Bucket),
                   static_cast<unsigned long long>(
                       anchorPlanFingerprint(*Anchor)));
-    Key.CostIdentity = costIdentityFor(Raw, Opts.AmortizeWeightTransforms,
-                                       Opts.ExecThreadCandidates,
-                                       Opts.ConsiderJit) +
-                       Tag;
+    Key.CostIdentity = costIdentityFor(Cache, Opts) + Tag;
     Key.SolverFingerprint = fingerprintSolver(Backend->name(),
                                               Opts.SolverOptions);
     Key.PassFingerprint = transforms::fingerprintPasses({});
@@ -370,9 +352,12 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
       Plan = std::move(Hit->Plan);
   }
   if (Plan.empty()) {
-    DTTableCache Tables(BucketCosts);
+    // Conv queries carry the bucket in their scenario; the DT tables and
+    // modelPlanCost weight every transform by it, since a transform
+    // converts every image flowing along its edge.
+    DTTableCache Tables(Cache, Bucket);
     PBQPFormulation F = buildPBQP(
-        BNet, Lib, BucketCosts, Tables, Opts.AmortizeWeightTransforms,
+        BNet, Lib, Cache, Tables, Opts.AmortizeWeightTransforms,
         normalizedThreadCandidates(Opts.ExecThreadCandidates), &Restrict);
     SelectionResult R;
     R.Backend = Backend->name();
@@ -380,7 +365,7 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
     R.Plan = planFromSolution(F, R.Solver.Selection, BNet, Lib, Tables);
     if (R.Plan.empty())
       return nullptr;
-    R.ModelledCostMs = modelPlanCost(R.Plan, BNet, Lib, BucketCosts);
+    R.ModelledCostMs = modelPlanCost(R.Plan, BNet, Lib, Cache);
     if (Plans)
       Plans->store(Key, R, BNet, Lib);
     Plan = std::move(R.Plan);

@@ -14,10 +14,11 @@
 ///   Engine Eng(Lib, Costs, Options);
 ///   SelectionResult R = Eng.optimize(Net);
 ///
-/// The engine composes three replaceable layers:
-///  - the memoizing cost layer (cost/CachingCostProvider.h), optionally
-///    pre-populated in parallel on a ThreadPool, shared across every query
-///    the engine serves (repeated/ensemble queries pay each raw cost once);
+/// The engine composes these layers:
+///  - the memoizing cost layer (cost/CachingCostProvider.h), always on,
+///    pre-populated in parallel on a ThreadPool when Threads > 1, and
+///    shared across every query the engine serves (repeated/ensemble
+///    queries pay each raw cost once);
 ///  - the graph-transform pass pipeline (transforms/Pass.h), run before
 ///    formulation when EngineOptions.Passes names passes (O1): epilogue
 ///    fusion and identity elimination shrink the problem graph, and the
@@ -56,15 +57,11 @@ struct EngineOptions {
   std::string Solver = "reduction";
   /// Knobs forwarded to the selected backend.
   pbqp::BackendOptions SolverOptions;
-  /// Worker threads for cost-table pre-population (1 = serial lazy fills).
+  /// Worker threads for cost-table pre-population before each query
+  /// (1 = no pool, serial lazy fills). More than one calls the cost
+  /// provider concurrently: the analytic model tolerates that, the
+  /// measuring profiler does not, so keep 1 when profiling.
   unsigned Threads = 1;
-  /// Memoize cost queries across this engine's lifetime.
-  bool CacheCosts = true;
-  /// Pre-populate the cost cache in parallel before each query (effective
-  /// when CacheCosts and Threads > 1). Requires a cost provider that
-  /// tolerates concurrent calls: the analytic model does, the measuring
-  /// profiler does not -- disable this (or use Threads=1) when profiling.
-  bool ParallelPrepopulate = true;
   /// Memoize whole SelectionResults in a PlanCache (engine/PlanCache.h)
   /// keyed by (network fingerprint, cost identity, solver fingerprint), so
   /// repeated optimize() calls over the same problem skip the solve.
@@ -87,15 +84,16 @@ struct EngineOptions {
   /// plan-cache key, so amortized and total-cost plans never mix.
   bool AmortizeWeightTransforms = false;
   /// Candidate intra-op worker counts for the solver's thread-count
-  /// dimension. Empty (the default) means {1}: the historical
-  /// single-threaded formulation, bit-for-bit. With e.g. {1, 2, 4} each
-  /// conv node's PBQP alternatives become (primitive, threads) pairs costed
-  /// via the provider's convCostAt family, the winning counts land in
-  /// NetworkPlan::ConvThreads, and CompiledNet/Executor cap each node's
-  /// intra-op workers accordingly at run time. The candidate set joins the
-  /// plan-cache cost identity, so single- and multi-threaded plans never
-  /// mix. Worker capping never changes results (the packed GEMM is bitwise
-  /// thread-count-invariant), only speed.
+  /// dimension. Empty (the default) means {1}: no thread decision, every
+  /// conv cost asked at the provider's configured count
+  /// (CostQuery::Threads = 0). With e.g. {1, 2, 4} each conv node's PBQP
+  /// alternatives become (primitive, threads) pairs, each costed at its
+  /// count exactly, the winning counts land in NetworkPlan::ConvThreads,
+  /// and CompiledNet/Executor cap each node's intra-op workers accordingly
+  /// at run time. The candidate set joins the plan-cache cost identity, so
+  /// single- and multi-threaded plans never mix. Worker capping never
+  /// changes results (the packed GEMM is bitwise thread-count-invariant),
+  /// only speed.
   std::vector<unsigned> ExecThreadCandidates;
   /// Make JIT compilation a selection dimension: optimize() additionally
   /// models serving each plan through the generated straight-line program
@@ -172,10 +170,11 @@ public:
   /// minibatch wrappers of the anchor plan's routine -- the solver chooses
   /// only the schedule (@bser / @bpar) and thread count, so every bucket
   /// computes bit-identically to the anchor, image by image. Transform
-  /// edge costs scale by the bucket (BatchTransformScaledProvider) and the
-  /// bucket + anchor fingerprint join the plan-cache cost identity, so
-  /// bucket plans hit the same warm PlanCache as everything else without
-  /// ever mixing with batch-1 plans. Returns null when the library lacks
+  /// edge costs scale by the bucket (the formulation weights them by the
+  /// graph's batch), and the bucket + anchor fingerprint join the
+  /// plan-cache cost identity (":b<B>:anchor<fp>"), so bucket plans hit the
+  /// same warm PlanCache as everything else without ever mixing with
+  /// batch-1 plans. Returns null when the library lacks
   /// wrappers for an anchor routine or the solve fails. Exposed for tests
   /// and the fleet; serving goes through compileLadder.
   std::shared_ptr<const CompiledNet>
@@ -184,10 +183,10 @@ public:
 
   /// As optimize(Net), but with one-off options (e.g. a different backend
   /// for a cross-check, or different solver knobs). Only Options.Solver,
-  /// Options.SolverOptions, Options.Passes, Options.ParallelPrepopulate
-  /// and Options.AmortizeWeightTransforms take effect here: the cost layer
-  /// and thread pool are construction-time properties of the engine, so
-  /// Options.CacheCosts and Options.Threads are ignored.
+  /// Options.SolverOptions, Options.Passes, Options.AmortizeWeightTransforms,
+  /// Options.ExecThreadCandidates and Options.ConsiderJit take effect here:
+  /// the thread pool is a construction-time property of the engine, so
+  /// Options.Threads is ignored.
   SelectionResult optimize(const NetworkGraph &Net,
                            const EngineOptions &Options);
 
@@ -234,13 +233,8 @@ public:
   std::string emitSource(const NetworkGraph &Net, const NetworkPlan &Plan,
                          const CodeGenOptions &Options = {}) const;
 
-  /// The cost provider queries actually go through (the cache when
-  /// enabled, the raw provider otherwise).
-  CostProvider &costs();
-
-  /// Cache counters accumulated over this engine's lifetime; null when
-  /// caching is disabled.
-  const CostCacheStats *cacheStats() const;
+  /// Cost-cache counters accumulated over this engine's lifetime (never null).
+  const CostCacheStats *cacheStats() const { return &Cache.stats(); }
 
   /// The plan cache; null unless CachePlans or PlanCacheDir configured it.
   PlanCache *planCache() { return Plans.get(); }
@@ -258,14 +252,18 @@ public:
   const EngineOptions &options() const { return Opts; }
 
 private:
+  /// Pre-populate the cost cache (when the engine has a pool) with exactly
+  /// the keys the builder will ask for, then build \p Target's PBQP
+  /// instance under \p Options.
+  PBQPFormulation build(const NetworkGraph &Target,
+                        const EngineOptions &Options, DTTableCache &Tables);
   SelectionResult run(const NetworkGraph &Net, pbqp::SolverBackend &Backend,
                       const EngineOptions &Options);
 
   const PrimitiveLibrary &Lib;
-  CostProvider &Raw;
   EngineOptions Opts;
-  std::unique_ptr<CachingCostProvider> Cache; ///< when Opts.CacheCosts
-  std::unique_ptr<ThreadPool> Pool;           ///< when Opts.Threads > 1
+  CachingCostProvider Cache;
+  std::unique_ptr<ThreadPool> Pool; ///< when Opts.Threads > 1
   std::unique_ptr<pbqp::SolverBackend> Backend;
   std::unique_ptr<PlanCache> Plans; ///< when Opts.CachePlans/PlanCacheDir
 };

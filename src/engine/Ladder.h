@@ -9,10 +9,11 @@
 /// CompiledNetLadder holds one CompiledNet artifact per batch bucket of a
 /// configured ladder ({1, 2, 4, ..., MaxBatch} by default), each solved by
 /// PBQP at that batch size: the solver genuinely chooses the §8 minibatch
-/// schedule (@bser vs @bpar) and thread count per layer per bucket, with
-/// layout-transform edge costs scaled by the bucket
-/// (BatchTransformScaledProvider) and the bucket joining the plan-cache
-/// key so buckets never mix.
+/// schedule (@bser vs @bpar) and thread count per layer per bucket. Conv
+/// cost queries carry the bucket in their scenario, the formulation
+/// weights every layout transform by it (the bucket graph's batch), and a
+/// ":b<B>:anchor<fp>" tag on the plan-cache cost identity keeps buckets
+/// from mixing.
 ///
 /// Dispatch rule (serve/Server.h): a coalesced batch of K requests runs on
 /// the smallest *resident* bucket >= K as one K-image pass of an

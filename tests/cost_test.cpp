@@ -151,7 +151,7 @@ TEST(AnalyticModel, TransformCostScalesWithSize) {
 TEST(AnalyticProvider, ImplementsCostProvider) {
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
   ConvScenario S{16, 14, 14, 1, 3, 16, 1};
-  EXPECT_GT(Prov.convCost(S, lib().sum2dBaseline()), 0.0);
+  EXPECT_GT(Prov.cost({S, lib().sum2dBaseline()}).totalMs(), 0.0);
   EXPECT_GT(Prov.transformCost(Layout::CHW, Layout::HWC, {16, 14, 14}), 0.0);
 }
 
@@ -207,11 +207,12 @@ TEST(Profiler, MeasuresAndCaches) {
   MeasuredCostProvider Prov(lib(), Opts);
   ConvScenario S{4, 10, 10, 1, 3, 4, 1};
   PrimitiveId Id = *lib().findByName("im2col-b-chw-chw");
-  double C1 = Prov.convCost(S, Id);
+  double C1 = Prov.cost({S, Id}).PerRunMs;
   EXPECT_GT(C1, 0.0);
   // Second query must come from the cache: identical value.
-  EXPECT_DOUBLE_EQ(Prov.convCost(S, Id), C1);
+  EXPECT_DOUBLE_EQ(Prov.cost({S, Id}).PerRunMs, C1);
   EXPECT_TRUE(Prov.database().hasConvCost(S, "im2col-b-chw-chw"));
+  EXPECT_TRUE(Prov.database().hasPrepareCost(S, "im2col-b-chw-chw"));
 }
 
 TEST(Profiler, MeasuresTransforms) {

@@ -12,6 +12,7 @@
 
 #include "batch/Minibatch.h"
 #include "core/Selector.h"
+#include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
 #include "nn/Models.h"
 #include "primitives/Reference.h"
@@ -257,23 +258,28 @@ TEST(BatchSelection, ProfilerMeasuresBatchedScenarios) {
   S.Batch = 3;
   std::vector<PrimitiveId> Ids = Lib.supporting(S);
   ASSERT_FALSE(Ids.empty());
-  double Millis = Prov.convCost(S, Ids.front());
+  double Millis = Prov.cost({S, Ids.front()}).PerRunMs;
   EXPECT_GT(Millis, 0.0);
   // Cached on the batched key: a second query returns the same number.
-  EXPECT_DOUBLE_EQ(Prov.convCost(S, Ids.front()), Millis);
+  EXPECT_DOUBLE_EQ(Prov.cost({S, Ids.front()}).PerRunMs, Millis);
 }
 
-TEST(BatchSelection, TransformScalingMultipliesEdgeCostsOnly) {
+TEST(BatchSelection, DTTablesWeightTransformsByTheBatch) {
+  // A legalizing transform converts every image flowing along the edge, so
+  // a batch-4 DT table prices every layout pair at 4x the batch-1 table,
+  // along the same cheapest chain.
   PrimitiveLibrary Lib = buildBatchedLibrary();
-  MeasuredCostProvider Inner(Lib);
-  BatchTransformScaledProvider Scaled(Inner, 4);
+  AnalyticCostProvider Costs(Lib, MachineProfile::haswell(), 1);
   TensorShape Shape{8, 16, 16};
-  double Base = Inner.transformCost(Layout::CHW, Layout::HWC, Shape);
-  EXPECT_DOUBLE_EQ(Scaled.transformCost(Layout::CHW, Layout::HWC, Shape),
-                   4.0 * Base);
-  ConvScenario S{4, 12, 12, 1, 3, 8, 1};
-  PrimitiveId Id = Lib.supporting(S).front();
-  EXPECT_DOUBLE_EQ(Scaled.convCost(S, Id), Inner.convCost(S, Id));
+  DTTable One = DTTable::build(Costs, Shape, 1);
+  DTTable Four = DTTable::build(Costs, Shape, 4);
+  for (Layout From : AllLayouts)
+    for (Layout To : AllLayouts) {
+      EXPECT_DOUBLE_EQ(Four.cost(From, To), 4.0 * One.cost(From, To))
+          << layoutName(From) << " -> " << layoutName(To);
+      EXPECT_EQ(Four.path(From, To), One.path(From, To))
+          << layoutName(From) << " -> " << layoutName(To);
+    }
 }
 
 TEST(BatchSelection, PBQPSelectsPerLayerSchedulesOnBatchedNetwork) {
@@ -282,8 +288,7 @@ TEST(BatchSelection, PBQPSelectsPerLayerSchedulesOnBatchedNetwork) {
   PrimitiveLibrary Lib = buildBatchedLibrary();
   ProfilerOptions Opts;
   Opts.Threads = 4;
-  MeasuredCostProvider Inner(Lib, Opts);
-  BatchTransformScaledProvider Costs(Inner, Net.batch());
+  MeasuredCostProvider Costs(Lib, Opts);
 
   SelectionResult R = selectPBQP(Net, Lib, Costs);
   ASSERT_FALSE(R.Plan.empty());

@@ -30,7 +30,7 @@ class MaskedProvider : public CostProvider {
 public:
   explicit MaskedProvider(uint32_t AllowMask) : AllowMask(AllowMask) {}
 
-  double convCost(const ConvScenario &, PrimitiveId) override { return 1.0; }
+  CostBreakdown cost(const CostQuery &) override { return {1.0, 0.0}; }
   double transformCost(Layout From, Layout To,
                        const TensorShape &) override {
     const auto &Routines = directTransformRoutines();

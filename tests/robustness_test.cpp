@@ -39,9 +39,7 @@ public:
   RestrictedTransformProvider(CostProvider &Inner, bool ForbidAll)
       : Inner(Inner), ForbidAll(ForbidAll) {}
 
-  double convCost(const ConvScenario &S, PrimitiveId Id) override {
-    return Inner.convCost(S, Id);
-  }
+  CostBreakdown cost(const CostQuery &Q) override { return Inner.cost(Q); }
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override {
     if (ForbidAll)

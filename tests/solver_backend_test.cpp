@@ -1,6 +1,7 @@
 //===- tests/solver_backend_test.cpp - backend registry + cost cache ------===//
 
 #include "cost/CachingCostProvider.h"
+#include "core/PBQPBuilder.h"
 #include "cost/AnalyticModel.h"
 #include "nn/Models.h"
 #include "pbqp/SolverBackend.h"
@@ -122,9 +123,9 @@ class CountingProvider : public CostProvider {
 public:
   explicit CountingProvider(CostProvider &Inner) : Inner(Inner) {}
 
-  double convCost(const ConvScenario &S, PrimitiveId Id) override {
+  CostBreakdown cost(const CostQuery &Q) override {
     ++ConvEvals;
-    return Inner.convCost(S, Id);
+    return Inner.cost(Q);
   }
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override {
@@ -154,8 +155,11 @@ TEST(CachingCostProvider, RepeatedQueriesHitTheCache) {
 
   // Two full sweeps: the second is pure hits.
   for (unsigned Round = 0; Round < 2; ++Round)
-    for (PrimitiveId Id : Ids)
-      EXPECT_DOUBLE_EQ(Cached.convCost(S, Id), Analytic.convCost(S, Id));
+    for (PrimitiveId Id : Ids) {
+      CostBreakdown C = Cached.cost({S, Id}), A = Analytic.cost({S, Id});
+      EXPECT_DOUBLE_EQ(C.PerRunMs, A.PerRunMs);
+      EXPECT_DOUBLE_EQ(C.AmortizedMs, A.AmortizedMs);
+    }
 
   const CostCacheStats &Stats = Cached.stats();
   EXPECT_EQ(Stats.ConvQueries, 2 * Ids.size());
@@ -186,10 +190,12 @@ TEST(CachingCostProvider, PrepopulateCoversTheBuilderQueries) {
   EXPECT_GT(EvalsAfterPrepopulate, 0u);
   EXPECT_EQ(Cached.size(), EvalsAfterPrepopulate);
 
-  // Every conv cost the builder can ask for is now cached.
-  for (NetworkGraph::NodeId N : Net.convNodes())
-    for (PrimitiveId Id : Lib.supporting(Net.node(N).Scenario))
-      Cached.convCost(Net.node(N).Scenario, Id);
+  // Every cost the builder asks for is now cached, in either selection
+  // mode: one-shot and amortized builds read the same breakdown entries.
+  for (bool Amortized : {false, true}) {
+    DTTableCache Tables(Cached);
+    buildPBQP(Net, Lib, Cached, Tables, Amortized);
+  }
   EXPECT_EQ(Counted.ConvEvals + Counted.TransformEvals,
             EvalsAfterPrepopulate);
 
@@ -197,6 +203,40 @@ TEST(CachingCostProvider, PrepopulateCoversTheBuilderQueries) {
   Cached.prepopulate(Net, Lib, Pool);
   EXPECT_EQ(Counted.ConvEvals + Counted.TransformEvals,
             EvalsAfterPrepopulate);
+
+  // An explicit thread axis: prepopulate fills exactly the keys the
+  // amortized builder asks for over it.
+  const std::vector<unsigned> Axis{1, 2, 4};
+  uint64_t Before = Counted.ConvEvals;
+  Cached.prepopulate(Net, Lib, Pool, Axis);
+  uint64_t ConvEvals = Counted.ConvEvals;
+  EXPECT_GT(ConvEvals, Before);
+  DTTableCache Tables(Cached);
+  buildPBQP(Net, Lib, Cached, Tables, /*AmortizeWeightTransforms=*/true,
+            Axis);
+  EXPECT_EQ(Counted.ConvEvals, ConvEvals);
+}
+
+TEST(CachingCostProvider, ExplicitOneThreadQueriesAreNotTheConfiguredCount) {
+  // Threads == 0 (the configured count) and Threads == 1 are different
+  // questions for a provider modelling a 4-thread machine; the cache must
+  // answer each as the raw provider does.
+  PrimitiveLibrary Lib = buildFullLibrary();
+  AnalyticCostProvider Raw(Lib, MachineProfile::haswell(), 4);
+  CachingCostProvider Cached(Raw);
+  NetworkGraph Net = tinyDag(32);
+  unsigned Differ = 0;
+  for (NetworkGraph::NodeId N : Net.convNodes()) {
+    const ConvScenario &S = Net.node(N).Scenario;
+    for (PrimitiveId Id : Lib.supporting(S)) {
+      CostBreakdown Configured = Cached.cost({S, Id});
+      CostBreakdown One = Cached.cost({S, Id, 1});
+      EXPECT_DOUBLE_EQ(One.PerRunMs, Raw.cost({S, Id, 1}).PerRunMs);
+      EXPECT_DOUBLE_EQ(Configured.PerRunMs, Raw.cost({S, Id}).PerRunMs);
+      Differ += One.PerRunMs != Configured.PerRunMs;
+    }
+  }
+  EXPECT_GT(Differ, 0u);
 }
 
 TEST(CachingCostProvider, ParallelAndSerialPrepopulateAgree) {
@@ -214,7 +254,8 @@ TEST(CachingCostProvider, ParallelAndSerialPrepopulateAgree) {
   for (NetworkGraph::NodeId N : Net.convNodes()) {
     const ConvScenario &S = Net.node(N).Scenario;
     for (PrimitiveId Id : Lib.supporting(S))
-      EXPECT_DOUBLE_EQ(Serial.convCost(S, Id), Parallel.convCost(S, Id));
+      EXPECT_DOUBLE_EQ(Serial.cost({S, Id}).totalMs(),
+                       Parallel.cost({S, Id}).totalMs());
   }
 }
 

@@ -147,8 +147,8 @@ TEST(SparseMeasured, TimeFallsWithSparsity) {
   ConvScenario VerySparse = Dense;
   VerySparse.SparsityPct = 95;
 
-  double DenseTime = Prov.convCost(Dense, SparseId);
-  double SparseTime = Prov.convCost(VerySparse, SparseId);
+  double DenseTime = Prov.cost({Dense, SparseId}).PerRunMs;
+  double SparseTime = Prov.cost({VerySparse, SparseId}).PerRunMs;
   EXPECT_LT(SparseTime, 0.7 * DenseTime)
       << "95% sparse kernels should run much faster through the sparse "
          "routine";

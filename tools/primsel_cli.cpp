@@ -611,10 +611,10 @@ std::vector<unsigned> execThreadCandidates(unsigned Max) {
 EngineOptions engineOptions(const CliOptions &Opts) {
   EngineOptions EOpts;
   EOpts.Solver = Opts.SolverName;
-  EOpts.Threads = Opts.Threads;
   // The measuring profiler is not safe to call concurrently; with
-  // --measured the cache still memoizes but fills lazily.
-  EOpts.ParallelPrepopulate = !Opts.Measured;
+  // --measured the cache still memoizes but fills lazily, with no
+  // pre-population pool.
+  EOpts.Threads = Opts.Measured ? 1 : Opts.Threads;
   EOpts.PlanCacheDir = Opts.PlanCacheDir;
   EOpts.Passes = Opts.Passes;
   EOpts.AmortizeWeightTransforms = amortizeActive(Opts);
