@@ -42,7 +42,7 @@ public:
   /// weights taken from \p Costs for tensors of \p Shape, each multiplied
   /// by \p Batch.
   static DTTable build(CostProvider &Costs, const TensorShape &Shape,
-                       int64_t Batch = 1);
+                       int64_t Batch);
 
   /// Cheapest total transformation cost From -> To (0 when equal, +inf when
   /// unreachable).
@@ -60,16 +60,15 @@ private:
   int Next[NumLayouts][NumLayouts]; ///< successor on the best path, -1 none
 };
 
-/// Memoizes DTTables by shape; selection for a whole network touches only a
-/// handful of distinct shapes. \p Batch is the network's minibatch size
-/// (NetworkGraph::batch()).
+/// Memoizes DTTables by shape for one network; selection for a whole
+/// network touches only a handful of distinct shapes. The tables are
+/// weighted by \p Net's minibatch size (NetworkGraph::batch()).
 class DTTableCache {
 public:
-  explicit DTTableCache(CostProvider &Costs, int64_t Batch = 1)
-      : Costs(Costs), Batch(Batch) {}
+  DTTableCache(CostProvider &Costs, const NetworkGraph &Net)
+      : Costs(Costs), Batch(Net.batch()) {}
 
   const DTTable &get(const TensorShape &Shape);
-  int64_t batch() const { return Batch; }
 
 private:
   CostProvider &Costs;

@@ -32,8 +32,6 @@ PBQPFormulation primsel::buildPBQP(
     DTTableCache &Tables, bool AmortizeWeightTransforms,
     const std::vector<unsigned> &ThreadCandidates,
     const std::vector<std::vector<PrimitiveId>> *RestrictConv) {
-  assert(Tables.batch() == Net.batch() &&
-         "DT tables must be weighted by the network's batch");
   PBQPFormulation F;
   F.ConvAlternatives.resize(Net.numNodes());
   F.ConvAltThreads.resize(Net.numNodes());

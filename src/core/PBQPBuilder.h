@@ -54,16 +54,17 @@ struct PBQPFormulation {
 /// per-inference component of the provider's breakdown -- the weight-side
 /// prepare work is compile-time in a compile-once/serve-many deployment,
 /// so it must not influence the steady-state selection. Edge costs are
-/// activation-side and identical in both modes; \p Tables must weight them
-/// by the network's batch (DTTableCache(Costs, Net.batch())).
+/// activation-side and identical in both modes; \p Tables must be built
+/// for \p Net (DTTableCache(Costs, Net)), which weights them by its batch.
 ///
 /// \p ThreadCandidates enables the thread-count dimension: each conv node's
 /// alternatives become the cross product of supporting primitives and the
 /// candidate worker counts, each costed with that count as
 /// CostQuery::Threads. Empty (the default) means {1}, which queries
-/// Threads = 0 -- the provider's configured count (costQueryThreads). A primitive's layouts do not depend on its
-/// worker count, so edge cost matrices replicate naturally across the
-/// thread axis and the PBQP structure is otherwise unchanged.
+/// Threads = 0 -- the provider's configured count (costQueryThreads). A
+/// primitive's layouts do not depend on its worker count, so edge cost
+/// matrices replicate naturally across the thread axis and the PBQP
+/// structure is otherwise unchanged.
 ///
 /// \p RestrictConv optionally narrows the selection space per conv node:
 /// when non-null, node N's primitive alternatives are the intersection of

@@ -54,7 +54,7 @@ SelectionResult primsel::selectPBQP(const NetworkGraph &Net,
                                     CostProvider &Costs,
                                     const pbqp::SolverOptions &Options) {
   SelectionResult R;
-  DTTableCache Tables(Costs, Net.batch());
+  DTTableCache Tables(Costs, Net);
 
   Timer BuildTimer;
   PBQPFormulation F = buildPBQP(Net, Lib, Costs, Tables);

@@ -257,7 +257,7 @@ NetworkPlan primsel::planForStrategy(Strategy S, const NetworkGraph &Net,
   }
 
   assignDummyLayouts(Plan, Net, Lib, FixedDummyLayout);
-  DTTableCache Tables(Costs, Net.batch());
+  DTTableCache Tables(Costs, Net);
   bool Legal = legalize(Plan, Net, Tables);
   assert(Legal && "strategy produced an illegalizable plan");
   (void)Legal;

@@ -12,15 +12,10 @@
 using namespace primsel;
 
 std::string CostDatabase::convKey(const ConvScenario &S,
-                                  const std::string &PrimName) {
-  return S.key() + "|" + PrimName;
-}
-
-std::string CostDatabase::convKeyAt(const ConvScenario &S,
-                                    const std::string &PrimName,
-                                    unsigned Threads) {
-  std::string Key = convKey(S, PrimName);
-  if (Threads > 1)
+                                  const std::string &PrimName,
+                                  unsigned Threads) {
+  std::string Key = S.key() + "|" + PrimName;
+  if (Threads != 0)
     Key += "|t" + std::to_string(Threads);
   return Key;
 }
@@ -34,40 +29,23 @@ std::string CostDatabase::transformKey(Layout From, Layout To,
 }
 
 bool CostDatabase::hasConvCost(const ConvScenario &S,
-                               const std::string &PrimName) const {
-  return ConvCosts.count(convKey(S, PrimName)) != 0;
+                               const std::string &PrimName,
+                               unsigned Threads) const {
+  return ConvCosts.count(convKey(S, PrimName, Threads)) != 0;
 }
 
 double CostDatabase::convCost(const ConvScenario &S,
-                              const std::string &PrimName) const {
-  auto It = ConvCosts.find(convKey(S, PrimName));
+                              const std::string &PrimName,
+                              unsigned Threads) const {
+  auto It = ConvCosts.find(convKey(S, PrimName, Threads));
   assert(It != ConvCosts.end() && "conv cost not in database");
   return It->second;
 }
 
 void CostDatabase::setConvCost(const ConvScenario &S,
-                               const std::string &PrimName, double Millis) {
-  ConvCosts[convKey(S, PrimName)] = Millis;
-}
-
-bool CostDatabase::hasConvCostAt(const ConvScenario &S,
-                                 const std::string &PrimName,
-                                 unsigned Threads) const {
-  return ConvCosts.count(convKeyAt(S, PrimName, Threads)) != 0;
-}
-
-double CostDatabase::convCostAt(const ConvScenario &S,
-                                const std::string &PrimName,
-                                unsigned Threads) const {
-  auto It = ConvCosts.find(convKeyAt(S, PrimName, Threads));
-  assert(It != ConvCosts.end() && "thread-keyed conv cost not in database");
-  return It->second;
-}
-
-void CostDatabase::setConvCostAt(const ConvScenario &S,
-                                 const std::string &PrimName, unsigned Threads,
-                                 double Millis) {
-  ConvCosts[convKeyAt(S, PrimName, Threads)] = Millis;
+                               const std::string &PrimName, double Millis,
+                               unsigned Threads) {
+  ConvCosts[convKey(S, PrimName, Threads)] = Millis;
 }
 
 bool CostDatabase::hasTransformCost(Layout From, Layout To,

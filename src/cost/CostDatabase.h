@@ -27,23 +27,19 @@ namespace primsel {
 /// Conv and transform cost tables, serializable to a text file.
 class CostDatabase {
 public:
-  /// True if a cost for (S, primitive name) is present.
-  bool hasConvCost(const ConvScenario &S, const std::string &PrimName) const;
-  double convCost(const ConvScenario &S, const std::string &PrimName) const;
+  /// Run cost of (S, primitive name). \p Threads == 0 is the un-suffixed
+  /// record, which holds the profiler's configured thread count. Any
+  /// other count, 1 included, is a thread-keyed record for the solver's
+  /// thread-count dimension, with a "|tN" key suffix -- so an explicit
+  /// 1-thread time never overwrites or answers for a multi-threaded
+  /// profiler's configured-count record. (load() merges by opaque key, so
+  /// older readers carry the suffixed records along harmlessly.)
+  bool hasConvCost(const ConvScenario &S, const std::string &PrimName,
+                   unsigned Threads = 0) const;
+  double convCost(const ConvScenario &S, const std::string &PrimName,
+                  unsigned Threads = 0) const;
   void setConvCost(const ConvScenario &S, const std::string &PrimName,
-                   double Millis);
-
-  /// Thread-keyed conv records for the solver's thread-count dimension.
-  /// Threads == 1 aliases the legacy un-suffixed record, so databases
-  /// written before the dimension existed keep working; Threads > 1 adds a
-  /// "|tN" key suffix (old readers skip the unknown keys harmlessly --
-  /// load() merges by opaque key).
-  bool hasConvCostAt(const ConvScenario &S, const std::string &PrimName,
-                     unsigned Threads) const;
-  double convCostAt(const ConvScenario &S, const std::string &PrimName,
-                    unsigned Threads) const;
-  void setConvCostAt(const ConvScenario &S, const std::string &PrimName,
-                     unsigned Threads, double Millis);
+                   double Millis, unsigned Threads = 0);
 
   bool hasTransformCost(Layout From, Layout To,
                         const TensorShape &Shape) const;
@@ -73,9 +69,8 @@ public:
 
 private:
   static std::string convKey(const ConvScenario &S,
-                             const std::string &PrimName);
-  static std::string convKeyAt(const ConvScenario &S,
-                               const std::string &PrimName, unsigned Threads);
+                             const std::string &PrimName,
+                             unsigned Threads = 0);
   static std::string transformKey(Layout From, Layout To,
                                   const TensorShape &Shape);
 

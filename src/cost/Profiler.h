@@ -47,12 +47,14 @@ public:
                        const ProfilerOptions &Options = {});
 
   /// PerRunMs is the memoized run measurement under a pool of Q.Threads
-  /// workers (0 = the configured Options.Threads, the un-suffixed record;
-  /// other counts use thread-keyed "|tN" records and pools created per
-  /// distinct count). AmortizedMs is the separately measured prepare()
-  /// time, memoized as a "prep" record and shared across thread counts.
-  /// Unlike the analytic model's totals, which contain the transform work
-  /// in one modelled figure, totalMs() here sums two direct measurements.
+  /// workers. Q.Threads == 0 or Options.Threads reads the un-suffixed
+  /// record; any other count, 1 included, reads its own "|tN" record
+  /// (CostDatabase::convCost), measured under a pool created per
+  /// distinct count. AmortizedMs is the measured prepare() time, taken
+  /// during the first run measurement and memoized as a "prep" record
+  /// shared across thread counts. Unlike the analytic model's totals,
+  /// which contain the transform work in one modelled figure, totalMs()
+  /// here sums two direct measurements.
   CostBreakdown cost(const CostQuery &Q) override;
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override;
@@ -61,15 +63,18 @@ public:
   /// one-shot total includes the measured prepare() time.)
   std::string identity() const override;
 
-  /// Measure one primitive on one scenario (no cache involvement).
-  /// \p Threads == 0 measures at the configured Options.Threads; any other
-  /// value measures under a pool of that many workers.
-  double measureConv(const ConvScenario &S, PrimitiveId Id,
-                     unsigned Threads = 0);
+  /// Measure one primitive on one scenario (no cache involvement): the
+  /// best run() time in PerRunMs and the best time of the prepare() calls
+  /// that set the measured instance up in AmortizedMs. \p Threads == 0
+  /// runs at the configured Options.Threads; any other value runs under a
+  /// pool of that many workers. prepare() is single-threaded.
+  CostBreakdown measureConv(const ConvScenario &S, PrimitiveId Id,
+                            unsigned Threads = 0);
   /// Measure one direct transform routine on one shape (no cache).
   double measureTransform(Layout From, Layout To, const TensorShape &Shape);
-  /// Measure one primitive's weight-side prepare() on one scenario (no
-  /// cache involvement). Single-threaded: prepare is compile-time work.
+  /// Measure one primitive's weight-side prepare() on one scenario alone
+  /// (no cache involvement). Single-threaded: prepare is compile-time
+  /// work.
   double measurePrepare(const ConvScenario &S, PrimitiveId Id);
 
   /// The cache; expose it so tools can save/load it across processes.

@@ -180,7 +180,7 @@ SelectionResult Engine::run(const NetworkGraph &Net,
   R.Passes = std::move(PassStats);
 
   Timer BuildTimer;
-  DTTableCache Tables(Cache, Target->batch());
+  DTTableCache Tables(Cache, *Target);
   PBQPFormulation F = build(*Target, Options, Tables);
   R.BuildMillis = BuildTimer.millis();
   R.NumNodes = F.G.numNodes();
@@ -244,7 +244,7 @@ PBQPFormulation Engine::formulate(const NetworkGraph &Net) {
     Rewritten = transforms::PassPipeline::fromNames(Opts.Passes).run(Net);
     Target = &Rewritten;
   }
-  DTTableCache Tables(Cache, Target->batch());
+  DTTableCache Tables(Cache, *Target);
   return build(*Target, Opts, Tables);
 }
 
@@ -353,9 +353,9 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
   }
   if (Plan.empty()) {
     // Conv queries carry the bucket in their scenario; the DT tables and
-    // modelPlanCost weight every transform by it, since a transform
-    // converts every image flowing along its edge.
-    DTTableCache Tables(Cache, Bucket);
+    // modelPlanCost weight every transform by BNet's batch, since a
+    // transform converts every image flowing along its edge.
+    DTTableCache Tables(Cache, BNet);
     PBQPFormulation F = buildPBQP(
         BNet, Lib, Cache, Tables, Opts.AmortizeWeightTransforms,
         normalizedThreadCandidates(Opts.ExecThreadCandidates), &Restrict);

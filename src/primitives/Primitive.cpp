@@ -109,12 +109,6 @@ primsel::bindWithEpilogue(const ConvPrimitive &P, const ConvScenario &S,
                                             std::move(Bias));
 }
 
-std::unique_ptr<ConvInstance>
-primsel::instantiateWithEpilogue(const ConvPrimitive &P, const ConvScenario &S,
-                                 const Kernel4D &Weights, uint64_t BiasSeed) {
-  return bindWithEpilogue(P, S, prepareWithEpilogue(P, S, Weights), BiasSeed);
-}
-
 const char *primsel::convFamilyName(ConvFamily F) {
   switch (F) {
   case ConvFamily::Sum2D:

@@ -167,8 +167,8 @@ public:
 
   /// One-shot convenience: bind(S, prepare(S, Weights)). Must only be
   /// called when supports(S). Routines ignore S.Epi -- epilogues are
-  /// applied by the shared applier (instantiateWithEpilogue wraps the
-  /// returned instance).
+  /// applied by the shared applier (bindWithEpilogue wraps the bound
+  /// instance).
   std::unique_ptr<ConvInstance> instantiate(const ConvScenario &S,
                                             const Kernel4D &Weights) const;
 };
@@ -188,28 +188,22 @@ void applyEpilogue(EpilogueKind E, const float *Bias, Tensor3D &T);
 /// biases do not drown the conv outputs.
 void fillEpilogueBias(float *Bias, int64_t Channels, uint64_t Seed);
 
-/// Bind \p P to \p S like P.instantiate(S, Weights), then -- when the
-/// scenario carries a fused epilogue -- wrap the instance so applyEpilogue
-/// runs over every output (run and runBatch alike). \p BiasSeed feeds
-/// fillEpilogueBias for epilogues with a bias and is ignored otherwise.
-/// This is the single instantiation point for epilogue scenarios: the
-/// executor, the profiler and generated programs all call it, so all
-/// primitive families gain epilogue support without per-family code.
-std::unique_ptr<ConvInstance>
-instantiateWithEpilogue(const ConvPrimitive &P, const ConvScenario &S,
-                        const Kernel4D &Weights, uint64_t BiasSeed);
-
-/// The compile-time half of instantiateWithEpilogue: P.prepare(S, Weights).
-/// (The epilogue itself has no weight-side state beyond the bias stream,
-/// which bindWithEpilogue regenerates from \p BiasSeed at bind time.)
+/// The single instantiation point for epilogue scenarios, in two halves:
+/// the executor, the profiler and generated programs all call them, so
+/// all primitive families gain epilogue support without per-family code.
+///
+/// The compile-time half: P.prepare(S, Weights). (The epilogue itself has
+/// no weight-side state beyond the bias stream, which bindWithEpilogue
+/// regenerates from its BiasSeed at bind time.)
 std::shared_ptr<const PreparedKernel>
 prepareWithEpilogue(const ConvPrimitive &P, const ConvScenario &S,
                     const Kernel4D &Weights);
 
 /// The run-time half: bind \p Prepared like P.bind(S, Prepared), then --
 /// when the scenario carries a fused epilogue -- wrap the instance so
-/// applyEpilogue runs over every output, exactly as instantiateWithEpilogue
-/// does. Bit-identical to the one-shot path by construction.
+/// applyEpilogue runs over every output (run and runBatch alike).
+/// \p BiasSeed feeds fillEpilogueBias for epilogues with a bias and is
+/// ignored otherwise.
 std::unique_ptr<ConvInstance>
 bindWithEpilogue(const ConvPrimitive &P, const ConvScenario &S,
                  std::shared_ptr<const PreparedKernel> Prepared,

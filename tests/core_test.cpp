@@ -32,7 +32,7 @@ AnalyticCostProvider makeProvider(unsigned Threads = 1,
 TEST(DTTable, DirectEdgeCostsMatchProvider) {
   AnalyticCostProvider Prov = makeProvider();
   TensorShape Sh{16, 28, 28};
-  DTTable T = DTTable::build(Prov, Sh);
+  DTTable T = DTTable::build(Prov, Sh, 1);
   EXPECT_DOUBLE_EQ(T.cost(Layout::CHW, Layout::HWC),
                    Prov.transformCost(Layout::CHW, Layout::HWC, Sh));
   EXPECT_DOUBLE_EQ(T.cost(Layout::CHW, Layout::CHW), 0.0);
@@ -42,7 +42,7 @@ TEST(DTTable, ChainsThroughMissingDirectRoutines) {
   // There is no direct CHW -> WCH routine; the chain goes via CWH.
   AnalyticCostProvider Prov = makeProvider();
   TensorShape Sh{8, 16, 16};
-  DTTable T = DTTable::build(Prov, Sh);
+  DTTable T = DTTable::build(Prov, Sh, 1);
   ASSERT_TRUE(T.reachable(Layout::CHW, Layout::WCH));
   std::vector<Layout> Path = T.path(Layout::CHW, Layout::WCH);
   ASSERT_GE(Path.size(), 3u);
@@ -55,7 +55,7 @@ TEST(DTTable, ChainsThroughMissingDirectRoutines) {
 
 TEST(DTTable, AllPairsReachableWithFullRoutineSet) {
   AnalyticCostProvider Prov = makeProvider();
-  DTTable T = DTTable::build(Prov, {8, 16, 16});
+  DTTable T = DTTable::build(Prov, {8, 16, 16}, 1);
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts)
       EXPECT_TRUE(T.reachable(A, B))
@@ -65,7 +65,7 @@ TEST(DTTable, AllPairsReachableWithFullRoutineSet) {
 TEST(DTTable, TriangleInequality) {
   // Shortest-path property: cost(A,C) <= cost(A,B) + cost(B,C).
   AnalyticCostProvider Prov = makeProvider();
-  DTTable T = DTTable::build(Prov, {8, 16, 16});
+  DTTable T = DTTable::build(Prov, {8, 16, 16}, 1);
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts)
       for (Layout C : AllLayouts)
@@ -75,7 +75,7 @@ TEST(DTTable, TriangleInequality) {
 TEST(DTTable, PathCostSumsToTableCost) {
   AnalyticCostProvider Prov = makeProvider();
   TensorShape Sh{8, 16, 16};
-  DTTable T = DTTable::build(Prov, Sh);
+  DTTable T = DTTable::build(Prov, Sh, 1);
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts) {
       std::vector<Layout> Path = T.path(A, B);
@@ -88,7 +88,7 @@ TEST(DTTable, PathCostSumsToTableCost) {
 
 TEST(DTTableCache, MemoizesByShape) {
   AnalyticCostProvider Prov = makeProvider();
-  DTTableCache Cache(Prov);
+  DTTableCache Cache(Prov, tinyChain(16));
   const DTTable &A = Cache.get({8, 16, 16});
   const DTTable &B = Cache.get({8, 16, 16});
   EXPECT_EQ(&A, &B);
@@ -98,8 +98,8 @@ TEST(DTTableCache, MemoizesByShape) {
 
 TEST(PBQPBuilder, StructureMirrorsNetwork) {
   AnalyticCostProvider Prov = makeProvider();
-  DTTableCache Tables(Prov);
   NetworkGraph Net = tinyChain(16);
+  DTTableCache Tables(Prov, Net);
   PBQPFormulation F = buildPBQP(Net, lib(), Prov, Tables);
   EXPECT_EQ(F.G.numNodes(), Net.numNodes());
   // One PBQP edge per graph edge.

@@ -164,6 +164,11 @@ TEST(CostDatabase, SetGetHas) {
   EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 1.25);
   DB.setConvCost(S, "sum2d", 2.0); // overwrite
   EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 2.0);
+  // An explicit thread count, 1 included, is a record of its own.
+  EXPECT_FALSE(DB.hasConvCost(S, "sum2d", 1));
+  DB.setConvCost(S, "sum2d", 3.0, 1);
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 1), 3.0);
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 2.0);
 }
 
 TEST(CostDatabase, TransformEntries) {
@@ -213,6 +218,50 @@ TEST(Profiler, MeasuresAndCaches) {
   EXPECT_DOUBLE_EQ(Prov.cost({S, Id}).PerRunMs, C1);
   EXPECT_TRUE(Prov.database().hasConvCost(S, "im2col-b-chw-chw"));
   EXPECT_TRUE(Prov.database().hasPrepareCost(S, "im2col-b-chw-chw"));
+}
+
+TEST(Profiler, ExplicitOneThreadTimesKeepTheirOwnRecord) {
+  ProfilerOptions Opts;
+  Opts.Threads = 4;
+  Opts.Repeats = 1;
+  Opts.Warmups = 0;
+  MeasuredCostProvider Prov(lib(), Opts);
+  ConvScenario S{4, 10, 10, 1, 3, 4, 1};
+  const std::string Name = "im2col-b-chw-chw";
+  PrimitiveId Id = *lib().findByName(Name);
+
+  // A 1-thread query on a 4-thread profiler lands in its own record, not
+  // in the un-suffixed one that holds the configured-count time.
+  EXPECT_GT(Prov.cost({S, Id, 1}).PerRunMs, 0.0);
+  EXPECT_TRUE(Prov.database().hasConvCost(S, Name, 1));
+  EXPECT_FALSE(Prov.database().hasConvCost(S, Name));
+
+  // The configured count is measured separately: it neither reads nor
+  // overwrites the 1-thread record (marked here with a sentinel).
+  Prov.database().setConvCost(S, Name, 1000.0, 1);
+  double Configured = Prov.cost({S, Id}).PerRunMs;
+  EXPECT_TRUE(Prov.database().hasConvCost(S, Name));
+  EXPECT_LT(Configured, 1000.0);
+  EXPECT_DOUBLE_EQ(Prov.cost({S, Id, 4}).PerRunMs, Configured);
+  EXPECT_DOUBLE_EQ(Prov.cost({S, Id, 1}).PerRunMs, 1000.0);
+}
+
+TEST(Profiler, LoadedRunRecordWithoutPrepareMeasuresOnlyPrepare) {
+  ProfilerOptions Opts;
+  Opts.Repeats = 1;
+  Opts.Warmups = 0;
+  MeasuredCostProvider Prov(lib(), Opts);
+  ConvScenario S{4, 10, 10, 1, 3, 4, 1};
+  const std::string Name = "im2col-b-chw-chw";
+  PrimitiveId Id = *lib().findByName(Name);
+  // A table saved before one-shot costs included prepare() has run
+  // records only: the run record is served as loaded and only the
+  // prepare time is measured.
+  Prov.database().setConvCost(S, Name, 1000.0);
+  CostBreakdown B = Prov.cost({S, Id});
+  EXPECT_DOUBLE_EQ(B.PerRunMs, 1000.0);
+  EXPECT_GT(B.AmortizedMs, 0.0);
+  EXPECT_TRUE(Prov.database().hasPrepareCost(S, Name));
 }
 
 TEST(Profiler, MeasuresTransforms) {

@@ -262,7 +262,7 @@ TEST(EnsembleSelection, ForcedVendorPlanExecutesCorrectly) {
   Vendor.Chains.clear();
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Prof);
-  DTTableCache Tables(Costs);
+  DTTableCache Tables(Costs, Net);
   ASSERT_TRUE(legalize(Vendor, Net, Tables));
   ASSERT_TRUE(isLegalized(Vendor, Net));
 

@@ -184,7 +184,7 @@ TEST(BranchBound, AgreesWithReductionSolverOnRealFormulation) {
   PrimitiveLibrary Lib = buildFullLibrary();
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Prof);
-  DTTableCache Tables(Costs);
+  DTTableCache Tables(Costs, Net);
   PBQPFormulation F = buildPBQP(Net, Lib, Costs, Tables);
 
   Solution Red = solve(F.G);
@@ -239,7 +239,7 @@ TEST(TextIO, RealSelectionInstanceRoundTrips) {
   PrimitiveLibrary Lib = buildFullLibrary();
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Prof);
-  DTTableCache Tables(Costs);
+  DTTableCache Tables(Costs, Net);
   PBQPFormulation F = buildPBQP(Net, Lib, Costs, Tables);
 
   GraphParseResult P = parseGraph(dumpGraph(F.G));

@@ -82,7 +82,7 @@ TEST_P(DTGraphMasks, FloydWarshallMatchesBFSOracle) {
   uint32_t Mask =
       static_cast<uint32_t>(R.next()) & ((1u << NumRoutines) - 1);
   MaskedProvider Prov(Mask);
-  DTTable T = DTTable::build(Prov, {4, 4, 4});
+  DTTable T = DTTable::build(Prov, {4, 4, 4}, 1);
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts)
       EXPECT_EQ(T.reachable(A, B), bfsReachable(Mask, A, B))
@@ -96,7 +96,7 @@ TEST_P(DTGraphMasks, PathsStayWithinAllowedRoutines) {
   uint32_t Mask =
       static_cast<uint32_t>(R.next()) & ((1u << NumRoutines) - 1);
   MaskedProvider Prov(Mask);
-  DTTable T = DTTable::build(Prov, {4, 4, 4});
+  DTTable T = DTTable::build(Prov, {4, 4, 4}, 1);
   const auto &Routines = directTransformRoutines();
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts) {

@@ -55,7 +55,7 @@ private:
 TEST(Robustness, DTTableWithNoUsableRoutines) {
   AnalyticCostProvider Base(lib(), MachineProfile::haswell(), 1);
   RestrictedTransformProvider Prov(Base, /*ForbidAll=*/true);
-  DTTable T = DTTable::build(Prov, {8, 8, 8});
+  DTTable T = DTTable::build(Prov, {8, 8, 8}, 1);
   for (Layout A : AllLayouts)
     for (Layout B : AllLayouts) {
       if (A == B) {
@@ -89,8 +89,8 @@ TEST(Robustness, PBQPStillSolvesWithForbiddenTransforms) {
 TEST(Robustness, LegalizeFailsWhenChainImpossible) {
   AnalyticCostProvider Base(lib(), MachineProfile::haswell(), 1);
   RestrictedTransformProvider Prov(Base, /*ForbidAll=*/true);
-  DTTableCache Tables(Prov);
   NetworkGraph Net = tinyChain(16);
+  DTTableCache Tables(Prov, Net);
 
   // Force a plan that needs a transform: greedy under the unrestricted
   // provider, then legalize under the restricted one.
@@ -209,8 +209,8 @@ TEST(Robustness, PrimitiveInstancesAreReusable) {
 
 TEST(Robustness, SolverIdempotentOnSameGraph) {
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
-  DTTableCache Tables(Prov);
   NetworkGraph Net = *buildModel("googlenet", 0.15);
+  DTTableCache Tables(Prov, Net);
   PBQPFormulation F = buildPBQP(Net, lib(), Prov, Tables);
   pbqp::Solution A = pbqp::solve(F.G);
   pbqp::Solution B = pbqp::solve(F.G);

@@ -193,7 +193,7 @@ TEST(CachingCostProvider, PrepopulateCoversTheBuilderQueries) {
   // Every cost the builder asks for is now cached, in either selection
   // mode: one-shot and amortized builds read the same breakdown entries.
   for (bool Amortized : {false, true}) {
-    DTTableCache Tables(Cached);
+    DTTableCache Tables(Cached, Net);
     buildPBQP(Net, Lib, Cached, Tables, Amortized);
   }
   EXPECT_EQ(Counted.ConvEvals + Counted.TransformEvals,
@@ -211,7 +211,7 @@ TEST(CachingCostProvider, PrepopulateCoversTheBuilderQueries) {
   Cached.prepopulate(Net, Lib, Pool, Axis);
   uint64_t ConvEvals = Counted.ConvEvals;
   EXPECT_GT(ConvEvals, Before);
-  DTTableCache Tables(Cached);
+  DTTableCache Tables(Cached, Net);
   buildPBQP(Net, Lib, Cached, Tables, /*AmortizeWeightTransforms=*/true,
             Axis);
   EXPECT_EQ(Counted.ConvEvals, ConvEvals);
