@@ -33,12 +33,11 @@
 
 #include "engine/Engine.h"
 #include "serve/Fleet.h"
+#include "serve/OpenLoop.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -168,12 +167,14 @@ int main() {
   FOpts.Batch.MaxQueue = 512; // generous: measure churn, not drops
   FOpts.WorkersPerModel = 1;
 
+  // Every offered request, tagged with the (model, input) it carried.
   struct Tagged {
     size_t Model = 0;
     size_t Input = 0;
-    serve::SubmitTicket Ticket;
   };
-  std::vector<Tagged> Tickets;
+  std::vector<Tagged> Arrivals;
+  std::vector<serve::SubmitTicket> BurstTickets;
+  std::vector<serve::ServeResponse> Responses;
   unsigned Swaps = 0;
   uint64_t UnknownRejects = 0;
   double WallMs = 0.0;
@@ -189,42 +190,40 @@ int main() {
     }
     UnknownRejects = Srv.unknownModelRejects();
 
-    Rng Pick(23), Gaps(29);
+    serve::OpenLoopOptions LOpts;
+    LOpts.RatePerSec = RatePerSec;
+    LOpts.Requests = Requests;
+    LOpts.Seed = 29;
+    Rng Pick(23);
     Timer Wall;
-    auto Start = std::chrono::steady_clock::now();
-    double NextArrivalNs = 0.0;
-    for (unsigned I = 0; I < Requests; ++I) {
-      // Live upgrades race the traffic at the third points.
-      if (I == Requests / 3 || I == 2 * Requests / 3) {
-        Reg.recompileAndSwap(Models[Swaps % Models.size()].Name);
-        ++Swaps;
-      }
-      // Halfway through, one lane takes a back-to-back burst: the other
-      // lanes' requests must still complete untouched.
-      if (I == Requests / 2)
-        for (unsigned B = 0; B < Burst; ++B) {
+    serve::runOpenLoop(
+        serve::steadyClock(),
+        [&](unsigned I, serve::TimeNs) {
+          // Live upgrades race the traffic at the third points.
+          if (I == Requests / 3 || I == 2 * Requests / 3) {
+            Reg.recompileAndSwap(Models[Swaps % Models.size()].Name);
+            ++Swaps;
+          }
+          // Halfway through, one lane takes a back-to-back burst: the
+          // other lanes' requests must still complete untouched.
+          if (I == Requests / 2)
+            for (unsigned B = 0; B < Burst; ++B)
+              BurstTickets.push_back(
+                  Srv.submit(Models[0].Name,
+                             Models[0].Inputs[B % Models[0].Inputs.size()]));
+
           Tagged T;
-          T.Model = 0;
-          T.Input = B % Models[0].Inputs.size();
-          T.Ticket = Srv.submit(Models[0].Name, Models[0].Inputs[T.Input]);
-          ++Models[0].Offered;
-          Tickets.push_back(std::move(T));
-        }
-
-      Tagged T;
-      T.Model = Pick.nextBelow(Models.size());
-      T.Input = Pick.nextBelow(Models[T.Model].Inputs.size());
-      T.Ticket = Srv.submit(Models[T.Model].Name, Models[T.Model].Inputs[T.Input]);
-      ++Models[T.Model].Offered;
-      Tickets.push_back(std::move(T));
-
-      double U = static_cast<double>(Gaps.nextFloat());
-      NextArrivalNs +=
-          -std::log(1.0 - U) * static_cast<double>(serve::nsPerSec) /
-          RatePerSec;
-      std::this_thread::sleep_until(
-          Start + std::chrono::nanoseconds(
-                      static_cast<int64_t>(NextArrivalNs)));
+          T.Model = Pick.nextBelow(Models.size());
+          T.Input = Pick.nextBelow(Models[T.Model].Inputs.size());
+          Arrivals.push_back(T);
+          return Srv.submit(Models[T.Model].Name,
+                            Models[T.Model].Inputs[T.Input]);
+        },
+        LOpts, &Responses);
+    // The burst's responses follow the arrivals', tagged the same way.
+    for (size_t B = 0; B < BurstTickets.size(); ++B) {
+      Arrivals.push_back({0, B % Models[0].Inputs.size()});
+      Responses.push_back(BurstTickets[B].Response.get());
     }
 
     Srv.shutdown();
@@ -235,8 +234,10 @@ int main() {
   std::vector<double> LatenciesMs;
   bool AllIdentical = true;
   unsigned Completed = 0, Rejected = 0;
-  for (Tagged &T : Tickets) {
-    serve::ServeResponse R = T.Ticket.Response.get();
+  for (size_t I = 0; I < Responses.size(); ++I) {
+    const serve::ServeResponse &R = Responses[I];
+    const Tagged &T = Arrivals[I];
+    ++Models[T.Model].Offered;
     if (!R.ok()) {
       ++Rejected;
       continue;
@@ -266,7 +267,7 @@ int main() {
               static_cast<double>(RS.PeakResidentBytes) / (1024.0 * 1024.0));
   std::printf("# %u/%zu completed in %.1f ms, p50 %.2f ms, p95 %.2f ms, "
               "p99 %.2f ms\n",
-              Completed, Tickets.size(), WallMs, Lat.P50, Lat.P95, Lat.P99);
+              Completed, Responses.size(), WallMs, Lat.P50, Lat.P95, Lat.P99);
 
   // Machine-readable trajectory record.
   const char *JsonEnv = std::getenv("PRIMSEL_BENCH_JSON");
@@ -332,11 +333,11 @@ int main() {
               static_cast<unsigned long long>(RS.Compiles));
   Pass &= CacheOk;
 
-  bool ConservationOk = Completed == Tickets.size() && Rejected == 0 &&
+  bool ConservationOk = Completed == Responses.size() && Rejected == 0 &&
                         RS.Swaps == Swaps && UnknownRejects == 1;
   std::printf("%s conservation: %u/%zu requests Ok through %u hot-swaps "
               "and a %u-request burst; unknown model rejected cleanly\n",
-              ConservationOk ? "PASS" : "FAIL", Completed, Tickets.size(),
+              ConservationOk ? "PASS" : "FAIL", Completed, Responses.size(),
               Swaps, Burst);
   Pass &= ConservationOk;
 

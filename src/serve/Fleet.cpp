@@ -2,8 +2,6 @@
 
 #include "serve/Fleet.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -345,23 +343,15 @@ RegistryStats ModelRegistry::stats() const {
 
 FleetServer::FleetServer(ModelRegistry &Reg, const FleetOptions &Options,
                          Clock &Clk)
-    : Reg(Reg), Opts(Options), Clk(Clk) {
-  for (const std::string &Name : Reg.modelNames()) {
-    auto L = std::make_unique<Lane>();
-    L->Name = Name;
-    L->Queue = std::make_unique<Batcher>(Opts.Batch, Clk);
-    Lanes.emplace(Name, std::move(L));
-  }
-  unsigned Workers = std::max(1u, Opts.WorkersPerModel);
-  for (auto &KV : Lanes) {
-    Lane &L = *KV.second;
-    L.Threads.reserve(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      L.Threads.emplace_back([this, &L] { laneLoop(L); });
-  }
+    : Reg(Reg), Opts(Options) {
+  ServerOptions SOpts;
+  SOpts.Batch = Opts.Batch;
+  SOpts.Workers = Opts.WorkersPerModel;
+  SOpts.BatchThreads = Opts.BatchThreads;
+  SOpts.Context.UseArena = Opts.UseArena;
+  for (const std::string &Name : Reg.modelNames())
+    Lanes.emplace(Name, std::make_unique<Server>(Reg, Name, SOpts, Clk));
 }
-
-FleetServer::~FleetServer() { shutdown(); }
 
 SubmitTicket FleetServer::submit(const std::string &Model,
                                  const Tensor3D &Input, TimeNs DeadlineNs) {
@@ -376,21 +366,12 @@ SubmitTicket FleetServer::submit(const std::string &Model,
     Done.set_value(std::move(R));
     return Ticket;
   }
-  return It->second->Queue->submit(Input, DeadlineNs);
+  return It->second->submit(Input, DeadlineNs);
 }
 
 void FleetServer::shutdown() {
-  std::lock_guard<std::mutex> G(ShutdownMutex);
-  if (Stopped)
-    return;
   for (auto &KV : Lanes)
-    KV.second->Queue->close();
-  for (auto &KV : Lanes) {
-    for (std::thread &T : KV.second->Threads)
-      T.join();
-    KV.second->Threads.clear();
-  }
-  Stopped = true;
+    KV.second->shutdown();
 }
 
 std::vector<std::string> FleetServer::modelNames() const {
@@ -403,83 +384,13 @@ std::vector<std::string> FleetServer::modelNames() const {
 
 BatcherStats FleetServer::batcherStats(const std::string &Model) const {
   auto It = Lanes.find(Model);
-  return It == Lanes.end() ? BatcherStats() : It->second->Queue->stats();
+  return It == Lanes.end() ? BatcherStats() : It->second->batcherStats();
 }
 
 LaneStats FleetServer::laneStats(const std::string &Model) const {
-  LaneStats S;
   auto It = Lanes.find(Model);
   if (It == Lanes.end())
-    return S;
-  const Lane &L = *It->second;
-  S.Exec.RequestsExecuted = L.RequestsExecuted.load(std::memory_order_relaxed);
-  S.Exec.BatchesExecuted = L.BatchesExecuted.load(std::memory_order_relaxed);
-  S.Exec.DeadlineMisses = L.DeadlineMisses.load(std::memory_order_relaxed);
-  S.Exec.BatchedBatches = L.BatchedBatches.load(std::memory_order_relaxed);
-  S.Exec.FallbackBatches = L.FallbackBatches.load(std::memory_order_relaxed);
-  S.UnavailableBatches = L.UnavailableBatches.load(std::memory_order_relaxed);
-  S.UnavailableRequests = L.UnavailableRequests.load(std::memory_order_relaxed);
-  return S;
-}
-
-void FleetServer::laneLoop(Lane &L) {
-  ExecutionContextOptions CtxOpts;
-  CtxOpts.Threads = 1;
-  CtxOpts.UseArena = Opts.UseArena;
-
-  unsigned MaxSlots = std::max(1u, Opts.Batch.MaxBatch);
-  unsigned PoolWidth = Opts.BatchThreads == 0
-                           ? MaxSlots
-                           : std::min(Opts.BatchThreads, MaxSlots);
-  ThreadPool SlotPool(PoolWidth);
-
-  // The lane's artifact snapshot: re-acquired per batch so eviction and
-  // hot-swap take effect at the next batch boundary. Slot contexts bind
-  // the snapshot's prepared kernels, so they rebuild when it changes.
-  std::shared_ptr<const CompiledNet> Snap;
-  std::vector<std::unique_ptr<ExecutionContext>> Slots;
-
-  // Ladder mode: one context per bucket, revalidated against the ladder's
-  // resident rungs inside executeBatchLadder (so bucket eviction and
-  // ladder replacement rebind at the next batch boundary, same as Slots).
-  std::map<int64_t, std::unique_ptr<ExecutionContext>> BucketContexts;
-  ExecutionContextOptions LadderOpts;
-  LadderOpts.Threads = PoolWidth;
-  LadderOpts.UseArena = Opts.UseArena;
-
-  Batch B;
-  while (L.Queue->waitPop(B)) {
-    std::shared_ptr<const CompiledNet> CN = Reg.acquire(L.Name);
-    if (!CN) {
-      // Evicted past the budget (or registry failure): fail the batch
-      // cleanly rather than stall the lane.
-      TimeNs NowNs = Clk.now();
-      for (BatchRequest &Rq : B.Requests)
-        respond(Rq, B, NowNs, ServeStatus::RejectedModelUnavailable);
-      L.UnavailableBatches.fetch_add(1, std::memory_order_relaxed);
-      L.UnavailableRequests.fetch_add(B.Requests.size(),
-                                      std::memory_order_relaxed);
-      B.Requests.clear();
-      continue;
-    }
-    if (CN != Snap) {
-      Slots.clear();
-      BucketContexts.clear();
-      Snap = std::move(CN);
-    }
-
-    size_t K = B.Requests.size();
-    std::shared_ptr<CompiledNetLadder> Ladder = Reg.ladderOf(L.Name);
-    if (Ladder && executeBatchLadder(*Ladder, B, BucketContexts, LadderOpts,
-                                     Clk, L.DeadlineMisses)) {
-      L.BatchedBatches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      executeBatch(Snap, B, Slots, CtxOpts, SlotPool, Clk, L.DeadlineMisses,
-                   MaxSlots);
-      L.FallbackBatches.fetch_add(1, std::memory_order_relaxed);
-    }
-    L.RequestsExecuted.fetch_add(K, std::memory_order_relaxed);
-    L.BatchesExecuted.fetch_add(1, std::memory_order_relaxed);
-    B.Requests.clear();
-  }
+    return LaneStats();
+  ServerStats S = It->second->stats();
+  return {S, S.UnavailableBatches, S.UnavailableRequests};
 }

@@ -26,13 +26,13 @@
 /// pointer keep executing on it (old-or-new, never torn); the old artifact
 /// is destroyed when the last in-flight batch releases it.
 ///
-/// FleetServer routes the PR 7 batching machinery through the registry:
-/// requests are tagged with a model name, each model gets its own Batcher
-/// lane and worker threads, and every popped batch executes on the lane's
-/// current artifact snapshot (re-acquired per batch, so eviction and
-/// hot-swap take effect at the next batch boundary). Outputs stay
-/// bit-identical to the sequential Executor by construction -- the lanes
-/// reuse the Server's executeBatch path.
+/// FleetServer routes requests through the registry: requests are tagged
+/// with a model name, and each model's lane is a serve::Server over the
+/// registry (its own Batcher and worker threads). Every popped batch
+/// executes on the lane's current artifact snapshot (re-acquired per
+/// batch, so eviction and hot-swap take effect at the next batch
+/// boundary). Outputs stay bit-identical to the sequential Executor by
+/// construction -- lanes are Servers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace primsel {
@@ -213,7 +212,8 @@ private:
 };
 
 /// Fleet server configuration. Batching policy and worker shape apply
-/// per model lane.
+/// per model lane; each lane's Server gets Batch, WorkersPerModel as
+/// Workers, BatchThreads, and one-thread slot contexts with UseArena.
 struct FleetOptions {
   BatcherOptions Batch;
   unsigned WorkersPerModel = 1;
@@ -222,7 +222,7 @@ struct FleetOptions {
   bool UseArena = true;
 };
 
-/// Per-lane execution counters.
+/// Per-lane execution counters, read from the lane's Server.
 struct LaneStats {
   ServerStats Exec;
   /// Batches whose model could not be acquired (evicted past budget or
@@ -232,15 +232,14 @@ struct LaneStats {
   uint64_t UnavailableRequests = 0;
 };
 
-/// The multi-model batched server: one Batcher lane + worker pool per
-/// registered model, all draining through one ModelRegistry.
+/// The multi-model batched server: one Server lane per registered model,
+/// all draining through one ModelRegistry.
 class FleetServer {
 public:
   /// Creates one lane per model registered in \p Reg at construction
   /// time. \p Reg must outlive the server.
   FleetServer(ModelRegistry &Reg, const FleetOptions &Options,
               Clock &Clk = steadyClock());
-  ~FleetServer();
 
   FleetServer(const FleetServer &) = delete;
   FleetServer &operator=(const FleetServer &) = delete;
@@ -251,8 +250,9 @@ public:
   SubmitTicket submit(const std::string &Model, const Tensor3D &Input,
                       TimeNs DeadlineNs = 0);
 
-  /// Stop admission on every lane, drain all admitted requests, join the
-  /// workers. Idempotent; called by the destructor.
+  /// Shut every lane down in turn: stop its admission, drain its admitted
+  /// requests, join its workers. Idempotent; destroying the server does
+  /// the same.
   void shutdown();
 
   std::vector<std::string> modelNames() const;
@@ -266,28 +266,10 @@ public:
   const FleetOptions &options() const { return Opts; }
 
 private:
-  struct Lane {
-    std::string Name;
-    std::unique_ptr<Batcher> Queue;
-    std::vector<std::thread> Threads;
-    std::atomic<uint64_t> RequestsExecuted{0};
-    std::atomic<uint64_t> BatchesExecuted{0};
-    std::atomic<uint64_t> DeadlineMisses{0};
-    std::atomic<uint64_t> BatchedBatches{0};
-    std::atomic<uint64_t> FallbackBatches{0};
-    std::atomic<uint64_t> UnavailableBatches{0};
-    std::atomic<uint64_t> UnavailableRequests{0};
-  };
-
-  void laneLoop(Lane &L);
-
   ModelRegistry &Reg;
   FleetOptions Opts;
-  Clock &Clk;
-  std::map<std::string, std::unique_ptr<Lane>> Lanes;
+  std::map<std::string, std::unique_ptr<Server>> Lanes;
   std::atomic<uint64_t> UnknownModel{0};
-  bool Stopped = false;
-  std::mutex ShutdownMutex;
 };
 
 } // namespace serve

@@ -2,6 +2,7 @@
 
 #include "serve/Server.h"
 
+#include "serve/Fleet.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -98,6 +99,18 @@ bool primsel::serve::executeBatchLadder(
 Server::Server(std::shared_ptr<const CompiledNet> Compiled,
                const ServerOptions &Options, Clock &Clk)
     : Net(std::move(Compiled)), Opts(Options), Queue(Options.Batch, Clk) {
+  startWorkers();
+}
+
+Server::Server(ModelRegistry &Registry, std::string Name,
+               const ServerOptions &Options, Clock &Clk)
+    : Reg(&Registry), Model(std::move(Name)), Opts(Options),
+      Queue(Options.Batch, Clk) {
+  assert(!Opts.Ladder && "a registry lane reads its ladder from the registry");
+  startWorkers();
+}
+
+void Server::startWorkers() {
   unsigned Workers = std::max(1u, Opts.Workers);
   Threads.reserve(Workers);
   for (unsigned W = 0; W < Workers; ++W)
@@ -128,19 +141,16 @@ ServerStats Server::stats() const {
   S.DeadlineMisses = DeadlineMisses.load(std::memory_order_relaxed);
   S.BatchedBatches = BatchedBatches.load(std::memory_order_relaxed);
   S.FallbackBatches = FallbackBatches.load(std::memory_order_relaxed);
+  S.UnavailableBatches = UnavailableBatches.load(std::memory_order_relaxed);
+  S.UnavailableRequests = UnavailableRequests.load(std::memory_order_relaxed);
   return S;
 }
 
 void Server::workerLoop() {
   // Per-worker state: one context per batch slot (created on demand, so a
   // server that only ever sees partial batches never pays for the full
-  // set) and a pool to run the slots of one batch concurrently. Slot
-  // contexts are single-threaded -- parallelism comes from slots, the §8
-  // image-parallel schedule -- and never shared across workers.
-  ExecutionContextOptions CtxOpts;
-  CtxOpts.Threads = 1;
-  CtxOpts.UseArena = Opts.UseArena;
-
+  // set) and a pool to run the slots of one batch concurrently. Contexts
+  // are never shared across workers.
   unsigned MaxSlots = std::max(1u, Opts.Batch.MaxBatch);
   unsigned PoolWidth = Opts.BatchThreads == 0
                            ? MaxSlots
@@ -153,19 +163,45 @@ void Server::workerLoop() {
   // pool width -- the bucket's plan decides per layer whether the pool
   // works inside a primitive (@bser) or across images (@bpar).
   std::map<int64_t, std::unique_ptr<ExecutionContext>> BucketContexts;
-  ExecutionContextOptions LadderOpts;
+  ExecutionContextOptions LadderOpts = Opts.Context;
   LadderOpts.Threads = PoolWidth;
-  LadderOpts.UseArena = Opts.UseArena;
+
+  // The artifact the contexts above are bound to. A registry lane
+  // re-reads it per batch; the contexts bind its prepared kernels, so
+  // they are dropped when it changes.
+  std::shared_ptr<const CompiledNet> Snap = Net;
+  std::shared_ptr<CompiledNetLadder> Ladder = Opts.Ladder;
 
   Batch B;
   while (Queue.waitPop(B)) {
     size_t K = B.Requests.size();
-    if (Opts.Ladder && executeBatchLadder(*Opts.Ladder, B, BucketContexts,
-                                          LadderOpts, Clk, DeadlineMisses)) {
+    if (Reg) {
+      std::shared_ptr<const CompiledNet> CN = Reg->acquire(Model);
+      if (!CN) {
+        // Evicted past the budget (or registry failure): fail the batch
+        // cleanly rather than stall the lane.
+        TimeNs NowNs = Clk.now();
+        for (BatchRequest &Rq : B.Requests)
+          respond(Rq, B, NowNs, ServeStatus::RejectedModelUnavailable);
+        UnavailableBatches.fetch_add(1, std::memory_order_relaxed);
+        UnavailableRequests.fetch_add(K, std::memory_order_relaxed);
+        B.Requests.clear();
+        continue;
+      }
+      if (CN != Snap) {
+        Slots.clear();
+        BucketContexts.clear();
+        Snap = std::move(CN);
+      }
+      Ladder = Reg->ladderOf(Model);
+    }
+
+    if (Ladder && executeBatchLadder(*Ladder, B, BucketContexts, LadderOpts,
+                                     Clk, DeadlineMisses)) {
       BatchedBatches.fetch_add(1, std::memory_order_relaxed);
     } else {
-      executeBatch(Net, B, Slots, CtxOpts, SlotPool, Clk, DeadlineMisses,
-                   MaxSlots);
+      executeBatch(Snap, B, Slots, Opts.Context, SlotPool, Clk,
+                   DeadlineMisses, MaxSlots);
       FallbackBatches.fetch_add(1, std::memory_order_relaxed);
     }
     RequestsExecuted.fetch_add(K, std::memory_order_relaxed);

@@ -5,23 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batched serving front end over one CompiledNet: a Batcher
-/// (serve/Batcher.h) coalesces independently-arriving requests into
-/// minibatches, and a pool of worker threads drains them through one of
-/// two dispatch paths over the same ExecutionContext type:
+/// The batched serving front end: a Batcher (serve/Batcher.h) coalesces
+/// independently-arriving requests into minibatches, and a pool of worker
+/// threads drains them. Server::workerLoop is the only code that drains a
+/// batcher: single-model serving (every `primsel-cli serve` variant, under
+/// the closed- or open-loop generator of serve/OpenLoop.h) and every fleet
+/// lane (serve/Fleet.h) run through it. A Server serves either one fixed
+/// CompiledNet (plus an optional ladder) or one model of a ModelRegistry,
+/// whose artifact it re-reads per batch.
 ///
-///  - per-slot (executeBatch): one batch-1 context per batch slot, the
-///    popped batch's images run concurrently on the worker's slot pool --
-///    the image-parallel minibatch schedule (paper §8) applied at
+/// Each popped batch takes one of two dispatch paths over the same
+/// ExecutionContext type:
+///
+///  - per-slot (executeBatch): one context per batch slot, the popped
+///    batch's images run concurrently on the worker's slot pool -- the
+///    image-parallel minibatch schedule (paper §8) applied at
 ///    whole-network granularity;
-///  - ladder (executeBatchLadder, when ServerOptions::Ladder is set): one
+///  - ladder (executeBatchLadder, when the artifact has a ladder): one
 ///    context per resident batch bucket runs the whole batch in a single
 ///    pass through the bucket's own §8 minibatch plan.
 ///
 /// Both run the shared PreparedKernels through the one interpreter, so
 /// responses are bit-identical to the sequential Executor by construction,
-/// independent of batch size, worker count, dispatch path or arrival
-/// interleaving.
+/// independent of batch size, worker count, slot-context options, dispatch
+/// path or arrival interleaving.
 ///
 /// Shutdown drains: shutdown() closes admission, lets the workers pop and
 /// complete every already-admitted request (a closed batcher fires
@@ -40,6 +47,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,6 +56,8 @@ namespace primsel {
 class ThreadPool;
 
 namespace serve {
+
+class ModelRegistry;
 
 /// Resolve \p Rq, a request of batch \p B, as finished at \p DoneNs with
 /// \p Status (queue and total time measured from its arrival). An Ok
@@ -60,10 +70,9 @@ void respond(BatchRequest &Rq, const Batch &B, TimeNs DoneNs,
              std::atomic<uint64_t> *DeadlineMisses = nullptr);
 
 /// Run every request of \p B on \p Net and resolve its promise with an Ok
-/// response -- the per-slot execution path shared by the single-model
-/// Server and the fleet lanes. Grows \p Slots (one context per batch
-/// slot, created with \p CtxOpts) on demand and runs the slots
-/// concurrently on \p SlotPool; callers reuse both across batches.
+/// response -- the Server's per-slot execution path. Grows \p Slots (one
+/// context per batch slot, created with \p CtxOpts) on demand and runs the
+/// slots concurrently on \p SlotPool; callers reuse both across batches.
 /// \p MaxRetainedSlots caps the contexts kept alive after the batch
 /// drains: an oversized burst (a closed batcher flushing, a test feeding a
 /// hand-built batch) may grow the pool past the steady-state batch bound,
@@ -86,8 +95,7 @@ void executeBatch(const std::shared_ptr<const CompiledNet> &Net, Batch &B,
 /// bucket per worker. Every call first drops the cached contexts whose
 /// bucket is no longer resident, or is resident under another artifact,
 /// so an evicted or recompiled rung's kernels and arena slabs are freed at
-/// the next batch boundary rather than pinned by an idle worker. Shared by
-/// the single-model Server and the fleet lanes.
+/// the next batch boundary rather than pinned by an idle worker.
 bool executeBatchLadder(
     CompiledNetLadder &Ladder, Batch &B,
     std::map<int64_t, std::unique_ptr<ExecutionContext>> &Contexts,
@@ -106,13 +114,20 @@ struct ServerOptions {
   /// parallel). 1 serializes the slots -- useful to bound a worker's
   /// footprint on small machines.
   unsigned BatchThreads = 0;
-  /// Back each slot context's intermediates with its own arena slab.
-  bool UseArena = true;
+  /// Options of every per-slot context. The default is single-threaded,
+  /// arena-backed and sequential: parallelism then comes from the slots
+  /// (the §8 image-parallel schedule). A wider pool lets a plan's per-node
+  /// thread counts run, and ParallelBranches runs independent steps of a
+  /// level concurrently. Ladder bucket contexts take UseArena and
+  /// ParallelBranches from here; their Threads is the worker's pool width.
+  ExecutionContextOptions Context{/*Threads=*/1, /*UseArena=*/true,
+                                  /*ParallelBranches=*/false};
   /// Batch-bucketed plan ladder (engine/Ladder.h). When set, workers serve
   /// each popped batch as one pass of a context on the smallest
   /// resident bucket >= K -- the real §8 minibatch plans -- falling back
   /// to the per-slot path only while a bucket is still compiling in the
-  /// background. Null = the historical per-slot path.
+  /// background. Null = the historical per-slot path. A registry lane
+  /// reads its ladder from the registry instead.
   std::shared_ptr<CompiledNetLadder> Ladder;
 };
 
@@ -128,16 +143,29 @@ struct ServerStats {
   /// Batches that fell back to the per-slot path (no ladder, or the
   /// bucket was still compiling). After ladder warmup this stops growing.
   uint64_t FallbackBatches = 0;
+  /// Registry lanes only: batches whose model could not be acquired, and
+  /// their requests, all resolved RejectedModelUnavailable unexecuted.
+  uint64_t UnavailableBatches = 0;
+  uint64_t UnavailableRequests = 0;
 };
 
-/// A running batched-inference server over one immutable CompiledNet.
+/// A running batched-inference server.
 class Server {
 public:
-  /// Workers start immediately. \p Compiled must remain valid (shared
-  /// ownership). \p Clk defaults to the process steady clock; tests pass
-  /// a VirtualClock to drive the batching policy deterministically.
+  /// Serve one fixed artifact (and Options.Ladder, when set). Workers
+  /// start immediately. \p Clk defaults to the process steady clock;
+  /// tests pass a VirtualClock to drive the batching policy
+  /// deterministically.
   Server(std::shared_ptr<const CompiledNet> Compiled,
          const ServerOptions &Options, Clock &Clk = steadyClock());
+  /// Serve model \p Model of \p Reg (a fleet lane): every batch runs on
+  /// the artifact and ladder the registry holds at pop time (acquire(),
+  /// ladderOf()), so eviction and hot-swap take effect at the next batch
+  /// boundary. A batch whose model cannot be acquired resolves
+  /// RejectedModelUnavailable. Options.Ladder must be null. \p Reg must
+  /// outlive the server.
+  Server(ModelRegistry &Reg, std::string Model, const ServerOptions &Options,
+         Clock &Clk = steadyClock());
   ~Server();
 
   Server(const Server &) = delete;
@@ -156,7 +184,6 @@ public:
   /// Idempotent; called by the destructor.
   void shutdown();
 
-  const CompiledNet &compiled() const { return *Net; }
   const ServerOptions &options() const { return Opts; }
   Clock &clock() const { return Queue.clock(); }
   size_t queueDepth() const { return Queue.queueDepth(); }
@@ -164,20 +191,28 @@ public:
   ServerStats stats() const;
 
 private:
+  void startWorkers();
   void workerLoop();
 
+  /// The fixed artifact; null for a registry lane.
   std::shared_ptr<const CompiledNet> Net;
+  /// A registry lane's source; null for a fixed-artifact server.
+  ModelRegistry *Reg = nullptr;
+  std::string Model;
   ServerOptions Opts;
   Batcher Queue;
-  std::vector<std::thread> Threads;
-  bool Stopped = false;
-  std::mutex ShutdownMutex;
 
   std::atomic<uint64_t> RequestsExecuted{0};
   std::atomic<uint64_t> BatchesExecuted{0};
   std::atomic<uint64_t> DeadlineMisses{0};
   std::atomic<uint64_t> BatchedBatches{0};
   std::atomic<uint64_t> FallbackBatches{0};
+  std::atomic<uint64_t> UnavailableBatches{0};
+  std::atomic<uint64_t> UnavailableRequests{0};
+
+  bool Stopped = false;
+  std::mutex ShutdownMutex;
+  std::vector<std::thread> Threads;
 };
 
 } // namespace serve

@@ -20,6 +20,7 @@
 #include "engine/Engine.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
+#include "serve/OpenLoop.h"
 
 #include <gtest/gtest.h>
 
@@ -474,6 +475,37 @@ TEST(Server, VirtualClockDrivesBatchWindow) {
   EXPECT_EQ(RC.QueueNs, 3 * nsPerMs);
   Srv.shutdown();
   EXPECT_EQ(Srv.batcherStats().TimeoutBatches, 1u);
+}
+
+TEST(Server, ClosedLoopKeepsOneRequestPerClientInFlight) {
+  // The closed-loop generator: each client waits for its response before
+  // submitting again, so the queue never holds more than one request per
+  // client, nothing is refused, and the uneven split (4/3/3) serves every
+  // request.
+  PrimitiveLibrary Lib = buildFullLibrary();
+  AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
+  std::shared_ptr<const CompiledNet> CN = compileTiny(Lib, Prov);
+  ASSERT_NE(CN, nullptr);
+  const TensorShape &Sh = CN->graph().node(0).OutShape;
+  Tensor3D In(Sh.C, Sh.H, Sh.W, Layout::CHW);
+  In.fillRandom(43);
+
+  const unsigned Clients = 3, Requests = 10;
+  ServerOptions SOpts;
+  SOpts.Batch.MaxQueue = Clients;
+  SOpts.Workers = 2;
+  Server Srv(CN, SOpts);
+  OpenLoopResult Res = runClosedLoop(Srv, In, Clients, Requests);
+  Srv.shutdown();
+
+  EXPECT_EQ(Res.Offered, Requests);
+  EXPECT_EQ(Res.Completed, Requests);
+  EXPECT_EQ(Res.Rejected, 0u);
+  EXPECT_EQ(Res.LatenciesMs.size(), Requests);
+  BatcherStats BS = Srv.batcherStats();
+  EXPECT_EQ(BS.Admitted, Requests);
+  EXPECT_LE(BS.MaxQueueDepth, Clients);
+  EXPECT_EQ(Srv.stats().RequestsExecuted, Requests);
 }
 
 } // namespace

@@ -396,9 +396,9 @@ TEST(BackendDiff, AllThreeBackendsAgreeOnResidualDepthwiseNet) {
 //===----------------------------------------------------------------------===//
 // 4. The batched-serving axis: responses from the dynamic-batching server
 //    (serve/Server.h) must be bit-identical to the sequential Executor on
-//    every (batch size x worker count) point, independent of how the
-//    concurrent submitters' arrivals interleave -- batching is a
-//    scheduling decision, never a numerics decision.
+//    every (slot context x batch size x worker count) point, independent
+//    of how the concurrent submitters' arrivals interleave -- batching and
+//    context width are scheduling decisions, never numerics decisions.
 //===----------------------------------------------------------------------===//
 
 class BatchedServeDiff : public ::testing::TestWithParam<const char *> {};
@@ -432,50 +432,61 @@ TEST_P(BatchedServeDiff, BatchedResponsesBitIdenticalToSequentialExecutor) {
     Inputs.push_back(std::move(T));
   }
 
+  // The default one-thread slot context, and a wide one running a
+  // 2-thread pool with parallel branches (serve --parallel).
+  ExecutionContextOptions Wide = serve::ServerOptions().Context;
+  Wide.Threads = 2;
+  Wide.ParallelBranches = true;
+
   const unsigned RequestsPerSubmitter = 8;
-  for (unsigned MaxBatch : {1u, 2u, 4u}) {
-    for (unsigned Workers : {1u, 4u}) {
-      serve::ServerOptions SOpts;
-      SOpts.Batch.MaxBatch = MaxBatch;
-      SOpts.Batch.MaxDelayNs = 200 * serve::nsPerUs;
-      SOpts.Batch.MaxQueue = 64;
-      SOpts.Workers = Workers;
-      serve::Server Srv(CN, SOpts);
+  for (const ExecutionContextOptions &Ctx :
+       {serve::ServerOptions().Context, Wide}) {
+    for (unsigned MaxBatch : {1u, 2u, 4u}) {
+      for (unsigned Workers : {1u, 4u}) {
+        serve::ServerOptions SOpts;
+        SOpts.Context = Ctx;
+        SOpts.Batch.MaxBatch = MaxBatch;
+        SOpts.Batch.MaxDelayNs = 200 * serve::nsPerUs;
+        SOpts.Batch.MaxQueue = 64;
+        SOpts.Workers = Workers;
+        serve::Server Srv(CN, SOpts);
 
-      // Two concurrent submitters produce a nondeterministic arrival
-      // interleaving; each records which input every ticket carried so
-      // the response can be checked against the right reference.
-      std::vector<std::vector<serve::SubmitTicket>> Tickets(2);
-      std::vector<std::vector<unsigned>> Chose(2);
-      std::vector<std::thread> Submitters;
-      for (unsigned S = 0; S < 2; ++S)
-        Submitters.emplace_back([&, S] {
+        // Two concurrent submitters produce a nondeterministic arrival
+        // interleaving; each records which input every ticket carried so
+        // the response can be checked against the right reference.
+        std::vector<std::vector<serve::SubmitTicket>> Tickets(2);
+        std::vector<std::vector<unsigned>> Chose(2);
+        std::vector<std::thread> Submitters;
+        for (unsigned S = 0; S < 2; ++S)
+          Submitters.emplace_back([&, S] {
+            for (unsigned I = 0; I < RequestsPerSubmitter; ++I) {
+              unsigned Idx = (S * RequestsPerSubmitter + I) %
+                             static_cast<unsigned>(Inputs.size());
+              Chose[S].push_back(Idx);
+              Tickets[S].push_back(Srv.submit(Inputs[Idx]));
+            }
+          });
+        for (std::thread &T : Submitters)
+          T.join();
+        Srv.shutdown(); // drains: every admitted request completes
+
+        std::string Point = std::string(GetParam()) + "/ctx" +
+                            std::to_string(Ctx.Threads) + "t/batch" +
+                            std::to_string(MaxBatch) + "x" +
+                            std::to_string(Workers) + "w";
+        for (unsigned S = 0; S < 2; ++S)
           for (unsigned I = 0; I < RequestsPerSubmitter; ++I) {
-            unsigned Idx = (S * RequestsPerSubmitter + I) %
-                           static_cast<unsigned>(Inputs.size());
-            Chose[S].push_back(Idx);
-            Tickets[S].push_back(Srv.submit(Inputs[Idx]));
+            serve::ServeResponse Resp = Tickets[S][I].Response.get();
+            ASSERT_TRUE(Resp.ok())
+                << Point << ": " << serve::serveStatusName(Resp.Status);
+            EXPECT_LE(Resp.BatchSize, MaxBatch) << Point;
+            EXPECT_EQ(maxAbsDifference(Resp.Output, Reference[Chose[S][I]]),
+                      0.0f)
+                << Point << " submitter " << S << " request " << I;
           }
-        });
-      for (std::thread &T : Submitters)
-        T.join();
-      Srv.shutdown(); // drains: every admitted request completes
-
-      std::string Point = std::string(GetParam()) + "/batch" +
-                          std::to_string(MaxBatch) + "x" +
-                          std::to_string(Workers) + "w";
-      for (unsigned S = 0; S < 2; ++S)
-        for (unsigned I = 0; I < RequestsPerSubmitter; ++I) {
-          serve::ServeResponse Resp = Tickets[S][I].Response.get();
-          ASSERT_TRUE(Resp.ok())
-              << Point << ": " << serve::serveStatusName(Resp.Status);
-          EXPECT_LE(Resp.BatchSize, MaxBatch) << Point;
-          EXPECT_EQ(maxAbsDifference(Resp.Output, Reference[Chose[S][I]]),
-                    0.0f)
-              << Point << " submitter " << S << " request " << I;
-        }
-      EXPECT_EQ(Srv.stats().RequestsExecuted, 2u * RequestsPerSubmitter)
-          << Point;
+        EXPECT_EQ(Srv.stats().RequestsExecuted, 2u * RequestsPerSubmitter)
+            << Point;
+      }
     }
   }
 }

@@ -385,6 +385,62 @@ TEST(FleetServer, MixedModelsBitIdenticalToSequentialExecutor) {
   EXPECT_EQ(Srv.laneStats("dag").Exec.RequestsExecuted, N / 2);
 }
 
+TEST(FleetServer, UnadmittableModelIsRejectedWithoutStallingOtherLanes) {
+  // A budget between the two artifacts' sizes: the smaller model serves,
+  // the bigger one can never be admitted. Every request to the bigger
+  // model must resolve RejectedModelUnavailable without executing, and
+  // the other lane must serve as if the bigger model were not there.
+  FleetHarness H;
+  RegistryOptions ROpts;
+  ROpts.ArenaSlabsPerModel = 1;
+  ProbeSizes Sz = probeSizes(H.Lib, H.Prov, ROpts.ArenaSlabsPerModel);
+  ASSERT_NE(Sz.ChainBytes, Sz.DagBytes);
+  ROpts.MemBudgetBytes = (Sz.ChainBytes + Sz.DagBytes) / 2;
+  const std::string Big = Sz.ChainBytes > Sz.DagBytes ? "chain" : "dag";
+  const std::string Small = Big == "chain" ? "dag" : "chain";
+  ModelRegistry Reg(*H.Eng, ROpts);
+  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
+  ASSERT_TRUE(Reg.addModel("dag", tinyDag(16)));
+
+  std::shared_ptr<const CompiledNet> CN = Reg.acquire(Small);
+  ASSERT_NE(CN, nullptr);
+  Tensor3D SmallIn = inputFor(CN->graph(), 61);
+  Executor Seq(CN->graph(), CN->plan(), H.Lib);
+  Seq.run(SmallIn);
+  Tensor3D Ref = cloneTensor(Seq.networkOutput());
+  Tensor3D BigIn = inputFor(*Reg.graphOf(Big), 62);
+
+  FleetOptions FOpts;
+  FOpts.Batch.MaxBatch = 2;
+  FOpts.Batch.MaxDelayNs = nsPerMs / 4;
+  FleetServer Srv(Reg, FOpts);
+  const unsigned N = 6;
+  std::vector<SubmitTicket> BigTickets, SmallTickets;
+  for (unsigned I = 0; I < N; ++I) {
+    BigTickets.push_back(Srv.submit(Big, BigIn));
+    SmallTickets.push_back(Srv.submit(Small, SmallIn));
+  }
+  Srv.shutdown();
+
+  for (SubmitTicket &T : BigTickets)
+    EXPECT_EQ(T.Response.get().Status, ServeStatus::RejectedModelUnavailable);
+  for (SubmitTicket &T : SmallTickets) {
+    ServeResponse R = T.Response.get();
+    ASSERT_TRUE(R.ok()) << serveStatusName(R.Status);
+    EXPECT_EQ(maxAbsDifference(R.Output, Ref), 0.0f);
+  }
+  LaneStats BigLane = Srv.laneStats(Big);
+  EXPECT_GE(BigLane.UnavailableBatches, 1u);
+  EXPECT_EQ(BigLane.UnavailableBatches, Srv.batcherStats(Big).Batches);
+  EXPECT_EQ(BigLane.UnavailableRequests, N);
+  EXPECT_EQ(BigLane.Exec.BatchesExecuted, 0u);
+  EXPECT_EQ(BigLane.Exec.RequestsExecuted, 0u);
+  LaneStats SmallLane = Srv.laneStats(Small);
+  EXPECT_EQ(SmallLane.Exec.RequestsExecuted, N);
+  EXPECT_EQ(SmallLane.UnavailableRequests, 0u);
+  EXPECT_EQ(Reg.current(Big), nullptr);
+}
+
 TEST(FleetServer, HotSwapRacingSubmittersSeeOldOrNewNeverTorn) {
   // Submitters hammer one lane while the main thread repeatedly
   // recompiles and RCU-swaps the artifact. Every response must be Ok and

@@ -34,22 +34,23 @@
 //       CompiledNet artifact -- weights generated, kernels packed and
 //       transformed -- and report the prepare-time work requests no
 //       longer pay.
-//   primsel-cli serve <model-or-file> [--compiled] [--requests N]
-//       [--threads N] [--parallel] [--no-arena] [--plan-cache DIR] [...]
-//       Acquire a plan (cache hit or fresh solve), run N requests, report
-//       mean/p50/p95/p99 latency, throughput, and arena/cache statistics.
-//       With --compiled, the network is compiled once and served from
-//       per-thread ExecutionContexts (--threads concurrent workers over
-//       one CompiledNet); without it, every request still pays the
-//       executor's per-process instantiation once at startup.
-//       With --open-loop, requests instead arrive on a Poisson process at
-//       --rate R per second and flow through the dynamic batcher
-//       (serve/Server.h): --max-batch B and --max-delay-us U set the
-//       batching policy, --max-queue Q the admission bound, and --slo-ms D
-//       a per-request deadline. Implies --compiled.
+//   primsel-cli serve <model-or-file> [--requests N] [--threads N]
+//       [--parallel] [--exec-threads N] [--no-arena] [--plan-cache DIR]
+//       [--open-loop] [...]
+//       Acquire a plan (cache hit or fresh solve), compile it once, and
+//       serve N requests through one serve::Server with --threads workers
+//       whose contexts --parallel/--exec-threads widen; report
+//       mean/p50/p95/p99 latency (submit -> response), throughput, and
+//       memory/cache statistics. By default --threads closed-loop clients
+//       each keep one request in flight (batching off). With --open-loop,
+//       requests instead arrive on a Poisson process at --rate R per
+//       second and flow through the dynamic batcher: --max-batch B and
+//       --max-delay-us U set the batching policy, --max-queue Q the
+//       admission bound, and --slo-ms D a per-request deadline.
 //
 // --amortize switches optimize/warm/serve to the serving-mode cost split
-// (per-inference PBQP costs); 'compile' and 'serve --compiled' imply it.
+// (per-inference PBQP costs); 'compile', 'serve --open-loop',
+// 'serve --batch-ladder', 'serve --jit' and 'serve --models' imply it.
 //
 // --exec-threads N adds intra-op worker counts {1, 2, ..., N} as an extra
 // PBQP dimension: each conv node is annotated with its chosen count (the
@@ -73,7 +74,6 @@
 #include "nn/Models.h"
 #include "nn/NetParser.h"
 #include "pbqp/TextIO.h"
-#include "runtime/Executor.h"
 #include "serve/Fleet.h"
 #include "serve/OpenLoop.h"
 #include "support/Random.h"
@@ -82,9 +82,7 @@
 #include "transforms/Pass.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,7 +91,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace primsel;
@@ -115,10 +112,8 @@ struct CliOptions {
   unsigned Requests = 8;
   bool Parallel = false;
   bool NoArena = false;
-  /// serve: compile once and serve from per-thread ExecutionContexts.
-  bool Compiled = false;
   /// Serving-mode cost split (EngineOptions.AmortizeWeightTransforms);
-  /// implied by 'compile' and 'serve --compiled'.
+  /// see amortizeActive() for the commands that imply it.
   bool Amortize = false;
   /// Graph-transform passes (-O0 = none, -O1 = the default pipeline,
   /// --passes = an explicit list). Names are validated in main() so
@@ -135,7 +130,7 @@ struct CliOptions {
   /// "native"); empty = runtime detection (plus the PRIMSEL_SIMD env cap).
   std::string SimdName;
   /// serve --open-loop: Poisson arrivals through the dynamic batcher
-  /// (implies --compiled; the batcher serves one shared CompiledNet).
+  /// instead of the closed-loop clients.
   bool OpenLoop = false;
   /// --rate: mean arrivals per second of the open-loop Poisson process.
   double RatePerSec = 100.0;
@@ -162,8 +157,7 @@ struct CliOptions {
   /// --jit: compile the selected plan to native code through the system
   /// compiler and serve it through the same ExecutionContext interface
   /// (falls back to the interpreter, with a warning, if that fails).
-  /// Implies compiled serving under 'serve' and adds the modelled
-  /// jit-vs-interpreter cost dimension to selection.
+  /// Adds the modelled jit-vs-interpreter cost dimension to selection.
   bool Jit = false;
   /// --jit-cc PATH: compiler driver for --jit (default: $PRIMSEL_CC,
   /// then 'cc').
@@ -278,7 +272,7 @@ int usage(const char *Argv0) {
       "  compile <model-or-file> [--plan-cache DIR] [--scale S] [--arm]\n"
       "           [--solver NAME] [-O0|-O1] [--passes LIST]\n"
       "           [--jit] [--jit-cc PATH]\n"
-      "  serve <model-or-file> [--compiled] [--requests N] [--threads N]\n"
+      "  serve <model-or-file> [--requests N] [--threads N]\n"
       "           [--parallel] [--no-arena] [--plan-cache DIR] [--scale S]\n"
       "           [--arm] [--solver NAME] [-O0|-O1] [--passes LIST]\n"
       "           [--amortize] [--exec-threads N] [--jit] [--jit-cc PATH]\n"
@@ -292,13 +286,16 @@ int usage(const char *Argv0) {
       "-O0 runs no graph-transform passes (default); -O1 runs the default\n"
       "pipeline; --passes LIST runs a comma-separated list (see docs/cli.md).\n"
       "--amortize prices selection on per-inference costs (weight\n"
-      "transforms amortized); 'compile' and 'serve --compiled' imply it.\n"
+      "transforms amortized); 'compile', 'serve --open-loop',\n"
+      "'serve --batch-ladder', 'serve --jit' and 'serve --models' imply it.\n"
       "--exec-threads N adds intra-op worker counts up to N as a PBQP\n"
       "dimension (optimize/warm/compile/serve); --simd\n"
       "scalar|avx2|avx512|native forces the GEMM dispatch tier.\n"
-      "serve --open-loop drives Poisson arrivals at --rate R/sec through\n"
-      "the dynamic batcher (--max-batch, --max-delay-us, --max-queue,\n"
-      "--slo-ms); implies --compiled.\n"
+      "serve compiles once and serves through --threads workers, driven by\n"
+      "--threads closed-loop clients (one request in flight each); with\n"
+      "--open-loop, by Poisson arrivals at --rate R/sec through the dynamic\n"
+      "batcher (--max-batch, --max-delay-us, --max-queue, --slo-ms).\n"
+      "--parallel and --exec-threads N widen every serving context.\n"
       "--batch-ladder serves coalesced batches through one PBQP-solved\n"
       "minibatch plan per batch bucket {1,2,4,...,--max-batch} (implies\n"
       "--open-loop); --bucket-compile bg compiles missing buckets in the\n"
@@ -307,7 +304,7 @@ int usage(const char *Argv0) {
       "--jit compiles the selected plan to native code via the system\n"
       "compiler (--jit-cc PATH or $PRIMSEL_CC, default 'cc') and serves\n"
       "it; objects are cached in --plan-cache DIR; on any failure the\n"
-      "interpreter serves instead. Implies --compiled under 'serve'.\n"
+      "interpreter serves instead.\n"
       "serve --models runs the multi-model fleet: one artifact registry\n"
       "under a --mem-budget M (MiB; LRU eviction, recompiles hit the\n"
       "shared plan cache), per-model batcher lanes, mixed Poisson traffic,\n"
@@ -513,8 +510,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Parallel = true;
     else if (Arg == "--no-arena" && !HasInline)
       Opts.NoArena = true;
-    else if (Arg == "--compiled" && !HasInline)
-      Opts.Compiled = true;
     else if (Arg == "--jit" && !HasInline)
       Opts.Jit = true;
     else if (Arg == "--jit-cc" && Next(Val))
@@ -586,12 +581,13 @@ std::optional<NetworkGraph> resolveNetwork(const std::string &Target,
 
 /// True when the command runs selection on serving-mode (amortized)
 /// per-inference costs: the explicit flag, the compile command, and the
-/// compiled serving path (which exists to hoist the weight transforms, so
-/// pricing them per-request would be self-defeating).
+/// serve variants built around the hoisted weight transforms -- open loop
+/// (which --batch-ladder implies), jit and fleet. Default 'serve' keeps
+/// one-shot costs, so a plain 'warm' serves it from the plan cache.
 bool amortizeActive(const CliOptions &Opts) {
   return Opts.Amortize || Opts.Command == "compile" ||
          (Opts.Command == "serve" &&
-          (Opts.Compiled || Opts.OpenLoop || Opts.Jit ||
+          (Opts.OpenLoop || Opts.BatchLadder || Opts.Jit ||
            !Opts.Models.empty()));
 }
 
@@ -670,8 +666,8 @@ uint64_t tensorChecksum(const Tensor3D &Out) {
 }
 
 /// FNV-1a over the network output of one deterministic forward pass.
-/// Printed by compiled serving so CI can diff a --jit transcript against
-/// an interpreted one: identical checksums = bit-identical serving.
+/// Printed by 'serve' so CI can diff a --jit transcript against an
+/// interpreted one: identical checksums = bit-identical serving.
 uint64_t outputChecksum(const CompiledNet &CN) {
   ExecutionContextOptions CtxOpts;
   std::unique_ptr<ExecutionContext> Ctx = CN.newContext(CtxOpts);
@@ -1072,12 +1068,14 @@ int cmdCompile(const CliOptions &Opts) {
   return 0;
 }
 
-/// serve --open-loop: one CompiledNet behind the dynamic batcher, driven
-/// by a Poisson arrival process at --rate requests/sec. --threads sets the
-/// batch-draining worker count; --max-batch/--max-delay-us/--max-queue the
-/// batching policy; --slo-ms a per-request deadline.
-int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
-                  const NetworkGraph &Net, const SelectionResult &R) {
+/// serve <model>: compile once, start one Server over the artifact and
+/// drive it with the closed-loop generator (default: --threads clients,
+/// one request in flight each, batching off) or the open-loop one
+/// (--open-loop, implied by --batch-ladder: Poisson arrivals at --rate
+/// through the --max-batch/--max-delay-us/--max-queue batching policy,
+/// with --slo-ms deadlines).
+int serveModel(const CliOptions &Opts, Engine &Eng, const NetworkGraph &Net,
+               const SelectionResult &R) {
   Timer CompileTimer;
   std::shared_ptr<CompiledNetLadder> Ladder;
   std::shared_ptr<const CompiledNet> CN;
@@ -1100,29 +1098,56 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
     std::fprintf(stderr, "error: compilation failed\n");
     return 1;
   }
+
+  serve::ServerOptions SOpts;
+  SOpts.Workers = Opts.Threads;
+  // --parallel gives each context a 2-wide pool for concurrent branches;
+  // --exec-threads widens the pool so the plan's per-node intra-op worker
+  // counts have workers to run on (the plan caps each node, so a wide
+  // pool never over-threads a node).
+  SOpts.Context.Threads = std::max(Opts.Parallel ? 2u : 1u, Opts.ExecThreads);
+  SOpts.Context.UseArena = !Opts.NoArena;
+  SOpts.Context.ParallelBranches = Opts.Parallel;
+  SOpts.Ladder = Ladder;
+  // --batch-ladder only makes sense behind the batcher (coalesced batches
+  // are what the ladder serves), so it implies open-loop serving.
+  bool OpenLoop = Opts.OpenLoop || Opts.BatchLadder;
+  if (OpenLoop) {
+    SOpts.Batch.MaxBatch = Opts.MaxBatch;
+    SOpts.Batch.MaxDelayNs =
+        static_cast<serve::TimeNs>(Opts.MaxDelayUs) * serve::nsPerUs;
+    SOpts.Batch.MaxQueue = Opts.MaxQueue;
+  } else {
+    // Closed loop: each client keeps one request in flight, so at most
+    // one request per client queues; batching stays off (the
+    // BatcherOptions defaults: MaxBatch 1, no window).
+    SOpts.Batch.MaxQueue = Opts.Threads;
+  }
+
   std::printf("# compiled once in %.2f ms (prepare %.2f ms, %u kernels, "
               "%.2f MiB packed weights)\n",
               CompileMillis, CN->prepareMillis(), CN->numPreparedKernels(),
               static_cast<double>(CN->preparedBytes()) / (1024.0 * 1024.0));
   if (Opts.Jit)
     printJitReport(*CN);
-  if (Ladder) {
+  const MemoryPlan &MP = CN->memoryPlan();
+  std::printf("# memory: arena %.2f MiB + persistent %.2f MiB vs %.2f MiB "
+              "per-layer baseline (%u packed values)\n",
+              static_cast<double>(SOpts.Context.UseArena ? MP.arenaBytes()
+                                                         : 0) /
+                  (1024.0 * 1024.0),
+              static_cast<double>(MP.persistentBytes()) / (1024.0 * 1024.0),
+              static_cast<double>(MP.BaselineBytes) / (1024.0 * 1024.0),
+              MP.NumArenaValues);
+  if (Ladder)
     std::printf("# ladder: buckets up to %lld, bucket-compile %s\n",
                 static_cast<long long>(Ladder->maxBucket()),
                 Opts.BucketCompile.c_str());
-    // CI diffs this and the per-bucket lines printed after the run.
-    std::printf("# output checksum %016llx\n",
-                static_cast<unsigned long long>(outputChecksum(*CN)));
-  }
-
-  serve::ServerOptions SOpts;
-  SOpts.Batch.MaxBatch = Opts.MaxBatch;
-  SOpts.Batch.MaxDelayNs =
-      static_cast<serve::TimeNs>(Opts.MaxDelayUs) * serve::nsPerUs;
-  SOpts.Batch.MaxQueue = Opts.MaxQueue;
-  SOpts.Workers = std::max(1u, Opts.Threads);
-  SOpts.UseArena = !Opts.NoArena;
-  SOpts.Ladder = Ladder;
+  // CI diffs this line between a --jit and an interpreted run, and against
+  // a ladder run's per-bucket lines: identical checksums prove the native
+  // object and the batched plans serve bit-identical outputs.
+  std::printf("# output checksum %016llx\n",
+              static_cast<unsigned long long>(outputChecksum(*CN)));
 
   const TensorShape &Sh = CN->graph().node(0).OutShape;
   std::vector<Tensor3D> Inputs;
@@ -1137,17 +1162,29 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
   LOpts.Requests = Opts.Requests;
   LOpts.SloNs = static_cast<serve::TimeNs>(Opts.SloMs *
                                            static_cast<double>(serve::nsPerMs));
-  std::printf("# open loop: %.1f req/sec Poisson x %u requests, batcher "
-              "max-batch %u, window %u us, queue bound %u, %u worker%s%s\n",
-              LOpts.RatePerSec, LOpts.Requests, SOpts.Batch.MaxBatch,
-              Opts.MaxDelayUs, SOpts.Batch.MaxQueue, SOpts.Workers,
-              SOpts.Workers == 1 ? "" : "s",
-              Opts.SloMs > 0.0 ? ", SLO deadline set" : "");
+  if (OpenLoop)
+    std::printf("# open loop: %.1f req/sec Poisson x %u requests, batcher "
+                "max-batch %u, window %u us, queue bound %u, %u worker%s%s\n",
+                LOpts.RatePerSec, LOpts.Requests, SOpts.Batch.MaxBatch,
+                Opts.MaxDelayUs, SOpts.Batch.MaxQueue, SOpts.Workers,
+                SOpts.Workers == 1 ? "" : "s",
+                Opts.SloMs > 0.0 ? ", SLO deadline set" : "");
+  else
+    std::printf("# closed loop: %u client%s x 1 request in flight, %u "
+                "requests, %u worker%s\n",
+                Opts.Threads, Opts.Threads == 1 ? "" : "s", Opts.Requests,
+                SOpts.Workers, SOpts.Workers == 1 ? "" : "s");
+  std::printf("# contexts: %u thread%s, %s%s\n", SOpts.Context.Threads,
+              SOpts.Context.Threads == 1 ? "" : "s",
+              SOpts.Context.UseArena ? "arena" : "per-layer allocation",
+              SOpts.Context.ParallelBranches ? ", parallel branches" : "");
 
   serve::OpenLoopResult Res;
   {
     serve::Server Srv(CN, SOpts);
-    Res = serve::runOpenLoop(Srv, Inputs, LOpts);
+    Res = OpenLoop ? serve::runOpenLoop(Srv, Inputs, LOpts)
+                   : serve::runClosedLoop(Srv, Inputs[0], Opts.Threads,
+                                          Opts.Requests);
     Srv.shutdown();
     serve::BatcherStats BS = Srv.batcherStats();
     serve::ServerStats SS = Srv.stats();
@@ -1185,77 +1222,6 @@ int serveOpenLoop(const CliOptions &Opts, Engine &Eng,
   return 0;
 }
 
-/// serve --compiled: one CompiledNet, --threads concurrent worker threads,
-/// each serving requests from its own ExecutionContext.
-int serveCompiled(const CliOptions &Opts, Engine &Eng,
-                  const NetworkGraph &Net, const SelectionResult &R) {
-  Timer CompileTimer;
-  std::shared_ptr<const CompiledNet> CN =
-      Eng.compile(Net, R, compileOptions(Opts));
-  double CompileMillis = CompileTimer.millis();
-  if (!CN) {
-    std::fprintf(stderr, "error: compilation failed\n");
-    return 1;
-  }
-  std::printf("# compiled once in %.2f ms (prepare %.2f ms, %u kernels, "
-              "%.2f MiB packed weights)\n",
-              CompileMillis, CN->prepareMillis(), CN->numPreparedKernels(),
-              static_cast<double>(CN->preparedBytes()) / (1024.0 * 1024.0));
-  if (Opts.Jit)
-    printJitReport(*CN);
-  // CI diffs this line between a --jit run and an interpreted run:
-  // identical checksums prove the native object serves bit-identical
-  // outputs.
-  std::printf("# output checksum %016llx\n",
-              static_cast<unsigned long long>(outputChecksum(*CN)));
-
-  ExecutionContextOptions CtxOpts;
-  CtxOpts.UseArena = !Opts.NoArena;
-  // --parallel gives each worker's context a 2-wide pool for concurrent
-  // branches; the worker threads themselves provide the request-level
-  // concurrency. --exec-threads widens the pool so the plan's per-node
-  // intra-op worker counts have workers to run on (the plan caps each
-  // node, so a wide pool never over-threads a node).
-  CtxOpts.Threads = std::max(Opts.Parallel ? 2u : 1u, Opts.ExecThreads);
-  CtxOpts.ParallelBranches = Opts.Parallel;
-
-  unsigned Workers = std::max(1u, Opts.Threads);
-  const TensorShape &Sh = CN->graph().node(0).OutShape;
-  Tensor3D Input(Sh.C, Sh.H, Sh.W, Layout::CHW);
-  Input.fillRandom(11);
-
-  std::printf("# serving: %u worker threads x own ExecutionContext (%s%s), "
-              "one shared CompiledNet\n",
-              Workers, CtxOpts.UseArena ? "arena" : "per-layer allocation",
-              CtxOpts.ParallelBranches ? ", parallel branches" : "");
-
-  std::vector<std::vector<double>> PerWorker(Workers);
-  Timer Wall;
-  {
-    std::vector<std::thread> Threads;
-    for (unsigned W = 0; W < Workers; ++W) {
-      unsigned Share = Opts.Requests / Workers +
-                       (W < Opts.Requests % Workers ? 1 : 0);
-      Threads.emplace_back([&, W, Share] {
-        std::unique_ptr<ExecutionContext> Ctx = CN->newContext(CtxOpts);
-        PerWorker[W].reserve(Share);
-        for (unsigned I = 0; I < Share; ++I)
-          PerWorker[W].push_back(Ctx->run(Input).TotalMillis);
-      });
-    }
-    for (std::thread &T : Threads)
-      T.join();
-  }
-  double WallMillis = Wall.millis();
-
-  std::vector<double> Latencies;
-  Latencies.reserve(Opts.Requests);
-  for (std::vector<double> &W : PerWorker)
-    Latencies.insert(Latencies.end(), W.begin(), W.end());
-  printLatencySummary(Latencies, WallMillis, Workers);
-  return 0;
-}
-
 /// serve --models a,b,c: the multi-model fleet. One shared Engine (one
 /// cost cache, one plan cache) compiles every model's artifact on demand
 /// into a budgeted ModelRegistry; per-model batcher lanes drain mixed
@@ -1289,7 +1255,8 @@ int cmdServeFleet(const CliOptions &Opts) {
   serve::ModelRegistry Reg(Eng, ROpts);
   for (const std::string &Name : Opts.Models) {
     std::optional<NetworkGraph> Net = resolveNetwork(Name, Opts.Scale);
-    if (!Net)
+    // Refuse an oversized brute-force space before any lane compiles it.
+    if (!Net || !checkBruteSpace(Eng, *Net))
       return 1;
     if (!Reg.addModel(Name, std::move(*Net))) {
       std::fprintf(stderr, "error: model '%s' named twice in --models\n",
@@ -1327,67 +1294,44 @@ int cmdServeFleet(const CliOptions &Opts) {
               FOpts.WorkersPerModel == 1 ? "" : "s", FOpts.Batch.MaxBatch,
               Opts.MaxDelayUs);
 
-  serve::TimeNs SloNs = static_cast<serve::TimeNs>(
-      Opts.SloMs * static_cast<double>(serve::nsPerMs));
-  Rng Pick(23), Gaps(29);
-  std::vector<std::future<serve::ServeResponse>> Futures;
+  serve::OpenLoopOptions LOpts;
+  LOpts.RatePerSec = Opts.RatePerSec;
+  LOpts.Requests = Opts.Requests;
+  LOpts.SloNs = static_cast<serve::TimeNs>(Opts.SloMs *
+                                           static_cast<double>(serve::nsPerMs));
+  LOpts.Seed = 29;
+  Rng Pick(23);
   std::vector<unsigned> ModelOf;
-  Futures.reserve(Opts.Requests);
-  ModelOf.reserve(Opts.Requests);
-  std::vector<double> LatenciesMs;
-  std::vector<uint64_t> OkPerModel(Opts.Models.size(), 0);
-  std::vector<uint64_t> RejPerModel(Opts.Models.size(), 0);
-  uint64_t Completed = 0, Rejected = 0;
-
-  Timer Wall;
+  std::vector<serve::ServeResponse> Responses;
+  serve::OpenLoopResult Res;
   {
     serve::FleetServer Srv(Reg, FOpts);
-    serve::Clock &Clk = serve::steadyClock();
     unsigned SwapEvery =
         Opts.Swaps ? std::max(1u, Opts.Requests / (Opts.Swaps + 1)) : 0;
     unsigned SwapsDone = 0;
-
-    using SteadyTime = std::chrono::steady_clock::time_point;
-    SteadyTime Start = std::chrono::steady_clock::now();
-    double NextArrivalNs = 0.0;
-    for (unsigned I = 0; I < Opts.Requests; ++I) {
-      double U = Gaps.nextFloat();
-      NextArrivalNs += -std::log(1.0 - U) *
-                       static_cast<double>(serve::nsPerSec) / Opts.RatePerSec;
-      std::this_thread::sleep_until(
-          Start + std::chrono::nanoseconds(
-                      static_cast<int64_t>(NextArrivalNs)));
-
-      // Hot-swap under live traffic: recompile (a plan-cache hit once the
-      // fleet is warm) and RCU-publish while the lanes keep draining.
-      if (SwapEvery && SwapsDone < Opts.Swaps && I > 0 &&
-          I % SwapEvery == 0) {
-        Reg.recompileAndSwap(
-            Opts.Models[SwapsDone % Opts.Models.size()]);
-        ++SwapsDone;
-      }
-
-      unsigned M = static_cast<unsigned>(
-          Pick.nextBelow(Opts.Models.size()));
-      serve::TimeNs Deadline = SloNs != 0 ? Clk.now() + SloNs : 0;
-      ModelOf.push_back(M);
-      Futures.push_back(
-          Srv.submit(Opts.Models[M], Inputs[M], Deadline).Response);
-    }
-
-    for (size_t I = 0; I < Futures.size(); ++I) {
-      serve::ServeResponse R = Futures[I].get();
-      if (R.ok()) {
-        ++Completed;
-        ++OkPerModel[ModelOf[I]];
-        LatenciesMs.push_back(R.totalMillis());
-      } else {
-        ++Rejected;
-        ++RejPerModel[ModelOf[I]];
-      }
-    }
+    Res = serve::runOpenLoop(
+        serve::steadyClock(),
+        [&](unsigned I, serve::TimeNs Deadline) {
+          // Hot-swap under live traffic: recompile (a plan-cache hit once
+          // the fleet is warm) and RCU-publish while the lanes keep
+          // draining.
+          if (SwapEvery && SwapsDone < Opts.Swaps && I > 0 &&
+              I % SwapEvery == 0) {
+            Reg.recompileAndSwap(Opts.Models[SwapsDone % Opts.Models.size()]);
+            ++SwapsDone;
+          }
+          unsigned M =
+              static_cast<unsigned>(Pick.nextBelow(Opts.Models.size()));
+          ModelOf.push_back(M);
+          return Srv.submit(Opts.Models[M], Inputs[M], Deadline);
+        },
+        LOpts, &Responses);
     Srv.shutdown();
 
+    std::vector<uint64_t> OkPerModel(Opts.Models.size(), 0);
+    std::vector<uint64_t> RejPerModel(Opts.Models.size(), 0);
+    for (size_t I = 0; I < Responses.size(); ++I)
+      ++(Responses[I].ok() ? OkPerModel : RejPerModel)[ModelOf[I]];
     for (size_t M = 0; M < Opts.Models.size(); ++M) {
       serve::BatcherStats BS = Srv.batcherStats(Opts.Models[M]);
       serve::LaneStats LS = Srv.laneStats(Opts.Models[M]);
@@ -1410,7 +1354,6 @@ int cmdServeFleet(const CliOptions &Opts) {
                     static_cast<unsigned long long>(LS.Exec.FallbackBatches));
     }
   }
-  double WallMillis = Wall.millis();
 
   serve::RegistryStats RS = Reg.stats();
   std::printf("# registry: %llu compiles (%llu plan-cache hits, %llu "
@@ -1453,14 +1396,13 @@ int cmdServeFleet(const CliOptions &Opts) {
                       (1024.0 * 1024.0));
   }
   printPlanCacheStats(Eng);
-  printLatencySummary(LatenciesMs, WallMillis,
+  printLatencySummary(Res.LatenciesMs, Res.WallMillis,
                       FOpts.WorkersPerModel *
                           static_cast<unsigned>(Opts.Models.size()));
-  std::printf("# fleet total: %llu/%u completed, %llu rejected\n",
-              static_cast<unsigned long long>(Completed), Opts.Requests,
-              static_cast<unsigned long long>(Rejected));
+  std::printf("# fleet total: %u/%u completed, %u rejected\n",
+              Res.Completed, Opts.Requests, Res.Rejected);
 
-  if (Completed == 0) {
+  if (Res.Completed == 0) {
     std::fprintf(stderr, "error: no request completed (budget too small "
                          "for any artifact?)\n");
     return 1;
@@ -1505,48 +1447,7 @@ int cmdServe(const CliOptions &Opts) {
   printServingCost(R);
   printPlanCacheStats(Eng);
 
-  // --batch-ladder only makes sense behind the batcher (coalesced
-  // batches are what the ladder serves), so it implies open-loop serving.
-  if (Opts.OpenLoop || Opts.BatchLadder)
-    return serveOpenLoop(Opts, Eng, *Net, R);
-  // --jit implies compiled serving: the native object is a CompiledNet
-  // artifact, so there is no jit variant of the plain Executor path.
-  if (Opts.Compiled || Opts.Jit)
-    return serveCompiled(Opts, Eng, *Net, R);
-
-  ExecutorOptions XOpts;
-  // --exec-threads widens the pool for the plan's intra-op worker counts;
-  // each conv node is still capped at its assigned count.
-  XOpts.Threads = std::max(Opts.Threads, Opts.ExecThreads);
-  XOpts.UseArena = !Opts.NoArena;
-  XOpts.ParallelBranches = Opts.Parallel;
-  // R owns the pass-rewritten graph the executor runs (R outlives Exec).
-  std::unique_ptr<Executor> Exec = Eng.instantiate(*Net, R, XOpts);
-
-  const MemoryPlan &MP = Exec->compiled().memoryPlan();
-  std::printf("# executor: %zu values, %zu levels, %s, %s\n",
-              MP.Values.size(), MP.Levels.size(),
-              XOpts.UseArena ? "arena" : "per-layer allocation",
-              XOpts.ParallelBranches && Opts.Threads > 1
-                  ? "parallel branches"
-                  : "sequential");
-  std::printf("# memory: arena %.2f MiB + persistent %.2f MiB vs %.2f MiB "
-              "per-layer baseline (%u packed values)\n",
-              static_cast<double>(Exec->arenaBytes()) / (1024.0 * 1024.0),
-              static_cast<double>(MP.persistentBytes()) / (1024.0 * 1024.0),
-              static_cast<double>(MP.BaselineBytes) / (1024.0 * 1024.0),
-              MP.NumArenaValues);
-
-  const TensorShape &Sh = Net->node(0).OutShape;
-  Tensor3D Input(Sh.C, Sh.H, Sh.W, Layout::CHW);
-  Input.fillRandom(11);
-  std::vector<double> Latencies;
-  Latencies.reserve(Opts.Requests);
-  Timer Wall;
-  for (unsigned I = 0; I < Opts.Requests; ++I)
-    Latencies.push_back(Exec->run(Input).TotalMillis);
-  printLatencySummary(Latencies, Wall.millis(), 1);
-  return 0;
+  return serveModel(Opts, Eng, *Net, R);
 }
 
 int cmdDumpPbqp(const CliOptions &Opts) {
