@@ -3,25 +3,134 @@
 #include "BenchCommon.h"
 
 #include "engine/Engine.h"
+#include "support/Parse.h"
 #include "support/Stats.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 using namespace primsel;
 using namespace primsel::bench;
 
+namespace {
+
+[[noreturn]] void badKnob(const char *Var, const char *Val,
+                          const char *Expected) {
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Var, Expected,
+               Val);
+  std::exit(2);
+}
+
+unsigned countKnob(const char *Var, unsigned Default) {
+  const char *Val = std::getenv(Var);
+  if (!Val)
+    return Default;
+  unsigned Count = 0;
+  if (!parseCount(Val, Count, std::numeric_limits<unsigned>::max()))
+    badKnob(Var, Val, "a positive integer");
+  return Count;
+}
+
+std::string quote(const std::string &Text) {
+  std::string Out = "\"";
+  for (char C : Text) {
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      char Esc[8];
+      std::snprintf(Esc, sizeof(Esc), "\\u%04x", C);
+      Out += Esc;
+    } else {
+      Out += C;
+    }
+  }
+  return Out + "\"";
+}
+
+} // namespace
+
 BenchConfig BenchConfig::fromEnvironment() {
   BenchConfig C;
-  if (const char *S = std::getenv("PRIMSEL_SCALE"))
-    C.Scale = std::atof(S);
-  if (const char *S = std::getenv("PRIMSEL_ITERS"))
-    C.Iters = static_cast<unsigned>(std::atoi(S));
-  if (const char *S = std::getenv("PRIMSEL_REPEATS"))
-    C.Repeats = static_cast<unsigned>(std::atoi(S));
-  if (const char *S = std::getenv("PRIMSEL_CACHE"))
-    C.CacheDir = S;
+  const char *Scale = std::getenv("PRIMSEL_SCALE");
+  if (Scale && (!parseDouble(Scale, C.Scale) || !(C.Scale > 0.0)))
+    badKnob("PRIMSEL_SCALE", Scale, "a positive number");
+  C.Iters = countKnob("PRIMSEL_ITERS", C.Iters);
+  C.Repeats = countKnob("PRIMSEL_REPEATS", C.Repeats);
+  if (const char *Val = std::getenv("PRIMSEL_CACHE"))
+    C.CacheDir = Val;
   return C;
+}
+
+JsonObject &JsonObject::raw(const std::string &Key, std::string Rendered) {
+  Fields.push_back({Key, std::move(Rendered), {}});
+  return *this;
+}
+
+JsonObject &JsonObject::set(const std::string &Key, const std::string &Value) {
+  return raw(Key, quote(Value));
+}
+
+JsonObject &JsonObject::set(const std::string &Key, double Value) {
+  if (!std::isfinite(Value))
+    return raw(Key, "null");
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.6g", Value);
+  return raw(Key, Buf);
+}
+
+JsonObject &JsonObject::set(const std::string &Key,
+                            const std::vector<JsonObject> &Values) {
+  Field F{Key, "[", {}};
+  for (const JsonObject &V : Values) {
+    F.Elements.push_back(V.render());
+    F.Value += (F.Elements.size() > 1 ? ", " : "") + F.Elements.back();
+  }
+  F.Value += "]";
+  Fields.push_back(std::move(F));
+  return *this;
+}
+
+std::string JsonObject::render() const {
+  std::string Out = "{";
+  for (const Field &F : Fields)
+    Out += (Out.size() > 1 ? ", " : "") + quote(F.Key) + ": " + F.Value;
+  return Out + "}";
+}
+
+std::string JsonObject::renderDocument() const {
+  std::string Out = "{\n";
+  for (size_t I = 0; I < Fields.size(); ++I) {
+    const Field &F = Fields[I];
+    Out += "  " + quote(F.Key) + ": ";
+    if (F.Elements.empty()) {
+      Out += F.Value;
+    } else {
+      Out += "[\n";
+      for (size_t J = 0; J < F.Elements.size(); ++J)
+        Out += "    " + F.Elements[J] +
+               (J + 1 < F.Elements.size() ? ",\n" : "\n");
+      Out += "  ]";
+    }
+    Out += I + 1 < Fields.size() ? ",\n" : "\n";
+  }
+  return Out + "}\n";
+}
+
+void primsel::bench::writeBenchJson(const JsonObject &Root,
+                                    const char *DefaultPath) {
+  const char *Env = std::getenv("PRIMSEL_BENCH_JSON");
+  std::string Path = Env ? Env : DefaultPath;
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  if (!F) {
+    std::fprintf(stderr, "warning: could not write %s\n", Path.c_str());
+    return;
+  }
+  std::fputs(Root.renderDocument().c_str(), F);
+  std::fclose(F);
+  std::printf("# wrote %s\n", Path.c_str());
 }
 
 CachedMeasuredProvider::CachedMeasuredProvider(const PrimitiveLibrary &Lib,

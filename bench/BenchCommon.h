@@ -11,10 +11,15 @@
 /// paper's format.
 ///
 /// Environment knobs:
-///   PRIMSEL_SCALE    spatial input scale (default 0.25; 1.0 = paper size)
-///   PRIMSEL_ITERS    timed forward passes per bar (default 3; paper uses 5)
-///   PRIMSEL_REPEATS  profiler repeats per (layer, primitive) (default 1)
-///   PRIMSEL_CACHE    cost-cache directory (default ".")
+///   PRIMSEL_SCALE       spatial input scale (default 0.25; 1.0 = paper size)
+///   PRIMSEL_ITERS       timed forward passes per bar (default 3; paper uses 5)
+///   PRIMSEL_REPEATS     profiler repeats per (layer, primitive) (default 1)
+///   PRIMSEL_CACHE       cost-cache directory (default ".")
+///   PRIMSEL_BENCH_JSON  path of a self-verifying bench's JSON record
+///                       (default: the bench's BENCH_*.json in cwd)
+///
+/// A malformed or non-positive PRIMSEL_SCALE, PRIMSEL_ITERS or
+/// PRIMSEL_REPEATS exits 2 naming the variable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,12 +35,14 @@
 
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace primsel {
 namespace bench {
 
-/// Parsed environment configuration.
+/// Parsed environment configuration. fromEnvironment() exits 2 on a
+/// malformed knob rather than running on a misread value.
 struct BenchConfig {
   double Scale = 0.25;
   unsigned Iters = 3;
@@ -107,6 +114,52 @@ void printSpeedupTable(const std::string &Title,
 void printAbsoluteTable(const std::string &Title,
                         const std::vector<NetworkResult> &Results,
                         const std::vector<Strategy> &Columns);
+
+/// One JSON object under construction: fields render in insertion order,
+/// nested values render when set. The only JSON emitter of the bench
+/// harness, so every BENCH_*.json shares one escaping and number format.
+class JsonObject {
+public:
+  JsonObject &set(const std::string &Key, const std::string &Value);
+  JsonObject &set(const std::string &Key, const char *Value) {
+    return set(Key, std::string(Value));
+  }
+  JsonObject &set(const std::string &Key, bool Value) {
+    return raw(Key, Value ? "true" : "false");
+  }
+  /// Non-finite values render as null, which JSON can represent.
+  JsonObject &set(const std::string &Key, double Value);
+  template <typename Int, std::enable_if_t<std::is_integral_v<Int> &&
+                                               !std::is_same_v<Int, bool>,
+                                           int> = 0>
+  JsonObject &set(const std::string &Key, Int Value) {
+    return raw(Key, std::to_string(Value));
+  }
+  JsonObject &set(const std::string &Key, const JsonObject &Value) {
+    return raw(Key, Value.render());
+  }
+  JsonObject &set(const std::string &Key,
+                  const std::vector<JsonObject> &Values);
+
+  /// Compact one-line rendering (nested objects and arrays included).
+  std::string render() const;
+  /// Document rendering: one field per line, and the elements of
+  /// array-valued fields one per line beneath it.
+  std::string renderDocument() const;
+
+private:
+  struct Field {
+    std::string Key;
+    std::string Value;                 ///< compact rendering
+    std::vector<std::string> Elements; ///< array fields: each element
+  };
+  JsonObject &raw(const std::string &Key, std::string Rendered);
+  std::vector<Field> Fields;
+};
+
+/// Write \p Root's document rendering to PRIMSEL_BENCH_JSON, or else to
+/// \p DefaultPath; warn on stderr when the file cannot be written.
+void writeBenchJson(const JsonObject &Root, const char *DefaultPath);
 
 } // namespace bench
 } // namespace primsel

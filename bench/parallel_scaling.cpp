@@ -33,8 +33,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -209,39 +207,35 @@ int main() {
               ModelIdentical ? "identical" : "DIFFER");
 
   // --- Machine-readable trajectory record. ---
-  const char *JsonEnv = std::getenv("PRIMSEL_BENCH_JSON");
-  std::string JsonPath = JsonEnv ? JsonEnv : "BENCH_parallel_scaling.json";
-  if (std::FILE *F = std::fopen(JsonPath.c_str(), "w")) {
-    std::fprintf(F,
-                 "{\n  \"bench\": \"parallel_scaling\",\n"
-                 "  \"hw_threads\": %u,\n  \"iters\": %u,\n"
-                 "  \"scaling_asserted\": %s,\n  \"convs\": [\n",
-                 HwThreads, Config.Iters, HwThreads >= 4 ? "true" : "false");
-    for (size_t I = 0; I < Rows.size(); ++I) {
-      const ConvRow &Row = Rows[I];
-      std::fprintf(F,
-                   "    {\"conv\": \"%s\", \"gflop\": %.4f, "
-                   "\"ms_1w\": %.4f, \"ms_2w\": %.4f, \"ms_4w\": %.4f, "
-                   "\"speedup_2w\": %.3f, \"speedup_4w\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   Row.Name.c_str(), Row.GFlop, Row.Ms[0], Row.Ms[1],
-                   Row.Ms[2], Row.speedupAt(1), Row.speedupAt(2),
-                   Row.BitIdentical ? "true" : "false",
-                   I + 1 < Rows.size() ? "," : "");
-    }
-    std::fprintf(F,
-                 "  ],\n  \"geomean_speedup_4w\": %.3f,\n"
-                 "  \"model\": {\"model\": \"resnet18\", \"scale\": %.3f, "
-                 "\"annotated_convs\": %u, \"ms_1t\": %.4f, \"ms_4t\": %.4f, "
-                 "\"speedup\": %.3f, \"bit_identical\": %s}\n}\n",
-                 GeoMean4, Config.Scale, AnnotatedConvs, ModelMs1, ModelMs4,
-                 ModelMs4 > 0.0 ? ModelMs1 / ModelMs4 : 0.0,
-                 ModelIdentical ? "true" : "false");
-    std::fclose(F);
-    std::printf("# wrote %s\n", JsonPath.c_str());
-  } else {
-    std::fprintf(stderr, "warning: could not write %s\n", JsonPath.c_str());
-  }
+  std::vector<JsonObject> ConvJson;
+  for (const ConvRow &Row : Rows)
+    ConvJson.push_back(JsonObject()
+                           .set("conv", Row.Name)
+                           .set("gflop", Row.GFlop)
+                           .set("ms_1w", Row.Ms[0])
+                           .set("ms_2w", Row.Ms[1])
+                           .set("ms_4w", Row.Ms[2])
+                           .set("speedup_2w", Row.speedupAt(1))
+                           .set("speedup_4w", Row.speedupAt(2))
+                           .set("bit_identical", Row.BitIdentical));
+  writeBenchJson(
+      JsonObject()
+          .set("bench", "parallel_scaling")
+          .set("hw_threads", HwThreads)
+          .set("iters", Config.Iters)
+          .set("scaling_asserted", HwThreads >= 4)
+          .set("convs", ConvJson)
+          .set("geomean_speedup_4w", GeoMean4)
+          .set("model",
+               JsonObject()
+                   .set("model", "resnet18")
+                   .set("scale", Config.Scale)
+                   .set("annotated_convs", AnnotatedConvs)
+                   .set("ms_1t", ModelMs1)
+                   .set("ms_4t", ModelMs4)
+                   .set("speedup", ModelMs4 > 0.0 ? ModelMs1 / ModelMs4 : 0.0)
+                   .set("bit_identical", ModelIdentical)),
+      "BENCH_parallel_scaling.json");
 
   std::printf("%s outputs bit-identical across every worker count\n",
               AllIdentical ? "PASS" : "FAIL");

@@ -2,8 +2,6 @@
 
 #include "core/Selector.h"
 
-#include "support/Timer.h"
-
 #include <cassert>
 
 using namespace primsel;
@@ -47,26 +45,4 @@ NetworkPlan primsel::planFromSolution(const PBQPFormulation &F,
   assert(Legal && "PBQP solution with finite cost must be legalizable");
   (void)Legal;
   return Plan;
-}
-
-SelectionResult primsel::selectPBQP(const NetworkGraph &Net,
-                                    const PrimitiveLibrary &Lib,
-                                    CostProvider &Costs,
-                                    const pbqp::SolverOptions &Options) {
-  SelectionResult R;
-  DTTableCache Tables(Costs, Net);
-
-  Timer BuildTimer;
-  PBQPFormulation F = buildPBQP(Net, Lib, Costs, Tables);
-  R.BuildMillis = BuildTimer.millis();
-  R.NumNodes = F.G.numNodes();
-  R.NumEdges = F.G.numEdges();
-
-  Timer SolveTimer;
-  R.Solver = pbqp::solve(F.G, Options);
-  R.SolveMillis = SolveTimer.millis();
-
-  R.Plan = planFromSolution(F, R.Solver.Selection, Net, Lib, Tables);
-  R.ModelledCostMs = modelPlanCost(R.Plan, Net, Lib, Costs);
-  return R;
 }

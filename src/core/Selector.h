@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The end-to-end optimizer: build the PBQP query from the network and the
-/// cost tables, solve it, map the solution back to a primitive/layout
-/// assignment, and legalize the result (paper §3/§5.2: "we extracted all
+/// The outcome of PBQP selection and the mapping from a solver's answer back
+/// to a legalized primitive/layout assignment. The end-to-end optimizer
+/// that builds the query from the network and the cost tables and solves
+/// it is Engine (engine/Engine.h) (paper §3/§5.2: "we extracted all
 /// convolutional scenarios in the graph, performed the profiling to gather
 /// cost data, and constructed the PBQP query for the minimum cost
 /// instantiation").
@@ -60,8 +61,7 @@ struct SelectionResult {
   double BuildMillis = 0.0;
   /// Solver statistics, including provable optimality.
   pbqp::Solution Solver;
-  /// Name of the solver backend that produced Solver (engine runs; the
-  /// legacy selectPBQP path always uses the reduction solver).
+  /// Name of the solver backend that produced Solver.
   std::string Backend = "reduction";
   /// PBQP instance sizes, for the overhead report.
   unsigned NumNodes = 0;
@@ -69,8 +69,7 @@ struct SelectionResult {
   /// Snapshot of the engine's cost-cache counters taken at the end of the
   /// run. The counters are cumulative over the engine's lifetime, so for a
   /// multi-query engine subtract the previous result's snapshot to get
-  /// per-run numbers. All zero when caching is disabled (and on the legacy
-  /// selectPBQP path).
+  /// per-run numbers.
   CostCacheStats Cache;
   /// True when the engine served this result from its plan cache
   /// (engine/PlanCache.h) instead of solving; SolveMillis is then 0 and
@@ -96,20 +95,14 @@ struct SelectionResult {
 };
 
 /// Map a PBQP solution's per-node \p Selection back onto the network as a
-/// primitive/layout assignment and legalize it. Shared by selectPBQP and
-/// the engine layer.
+/// primitive/layout assignment and legalize it. The engine layer
+/// (engine/Engine.h) runs the selection pipeline and calls this to map
+/// its solver's answer back.
 NetworkPlan planFromSolution(const PBQPFormulation &F,
                              const std::vector<unsigned> &Selection,
                              const NetworkGraph &Net,
                              const PrimitiveLibrary &Lib,
                              DTTableCache &Tables);
-
-/// Run the full pipeline on \p Net with the reduction solver. The returned
-/// plan is legalized. Engine (engine/Engine.h) is the richer entry point:
-/// it adds solver-backend selection and the memoizing cost layer.
-SelectionResult selectPBQP(const NetworkGraph &Net,
-                           const PrimitiveLibrary &Lib, CostProvider &Costs,
-                           const pbqp::SolverOptions &Options = {});
 
 } // namespace primsel
 

@@ -2,8 +2,6 @@
 
 #include "core/Strategies.h"
 
-#include "core/Selector.h"
-
 #include <cassert>
 #include <limits>
 
@@ -116,8 +114,7 @@ PrimitiveId namedPrimitive(const PrimitiveLibrary &Lib, const char *Name) {
 NetworkPlan primsel::planForStrategy(Strategy S, const NetworkGraph &Net,
                                      const PrimitiveLibrary &Lib,
                                      CostProvider &Costs) {
-  if (S == Strategy::PBQP)
-    return selectPBQP(Net, Lib, Costs).Plan;
+  assert(S != Strategy::PBQP && "PBQP plans come from Engine::planFor");
 
   NetworkPlan Plan;
   Plan.ConvPrim.assign(Net.numNodes(), 0);
@@ -250,7 +247,7 @@ NetworkPlan primsel::planForStrategy(Strategy S, const NetworkGraph &Net,
       break;
 
     case Strategy::PBQP:
-      assert(false && "handled above");
+      assert(false && "rejected above");
       break;
     }
     Plan.ConvPrim[N] = Chosen;

@@ -51,13 +51,14 @@ const char *strategyName(Strategy S);
 std::optional<Strategy> parseStrategy(const std::string &Name);
 
 /// The strategies plotted in Figures 5-7, in the paper's bar order
-/// (PBQP is produced by selectPBQP; it is included here so harnesses can
-/// iterate one list).
+/// (PBQP is produced by the engine; it is included here so harnesses can
+/// iterate one list through Engine::planFor).
 std::vector<Strategy> figureStrategies(bool IncludeArmcl);
 
-/// Produce a legalized plan for \p S. For Strategy::PBQP this forwards to
-/// selectPBQP. Every other strategy picks per-layer assignments according
-/// to its policy and then runs the shared legalizer.
+/// Produce a legalized plan for baseline strategy \p S: pick per-layer
+/// assignments according to its policy, then run the shared legalizer.
+/// Asserts on Strategy::PBQP, which Engine::planFor (engine/Engine.h)
+/// solves through the engine's own solver backend.
 NetworkPlan planForStrategy(Strategy S, const NetworkGraph &Net,
                             const PrimitiveLibrary &Lib, CostProvider &Costs);
 

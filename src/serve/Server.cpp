@@ -6,7 +6,6 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace primsel;
 using namespace primsel::serve;
@@ -21,10 +20,7 @@ void primsel::serve::respond(BatchRequest &Rq, const Batch &B, TimeNs DoneNs,
   if (Status == ServeStatus::Ok) {
     // Contexts are reused across batches, so the response owns a copy.
     assert(Output && "an Ok response carries an output");
-    Resp.Output = Tensor3D(Output->channels(), Output->height(),
-                           Output->width(), Output->layout());
-    std::memcpy(Resp.Output.data(), Output->data(),
-                static_cast<size_t>(Output->size()) * sizeof(float));
+    Resp.Output = Output->clone();
     Resp.BatchSize = static_cast<unsigned>(B.size());
     Resp.MissedDeadline = Rq.DeadlineNs != 0 && DoneNs > Rq.DeadlineNs;
     if (Resp.MissedDeadline && DeadlineMisses)

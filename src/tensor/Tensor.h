@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace primsel {
 
@@ -34,6 +35,18 @@ public:
   /// slot of the memory-planned executor arena). The storage is borrowed,
   /// not owned, and must outlive the tensor.
   Tensor3D(int64_t C, int64_t H, int64_t W, Layout L, float *External);
+
+  /// An owning deep copy with the same shape, layout and contents. Cloning
+  /// a view of external storage (an arena slot, a reused context output)
+  /// yields a tensor that owns its data and outlives that storage.
+  Tensor3D clone() const {
+    if (size() == 0)
+      return Tensor3D();
+    Tensor3D Copy(C, H, W, Lay);
+    std::memcpy(Copy.data(), data(),
+                static_cast<size_t>(size()) * sizeof(float));
+    return Copy;
+  }
 
   int64_t channels() const { return C; }
   int64_t height() const { return H; }

@@ -9,8 +9,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CodeGen.h"
-#include "core/Selector.h"
 #include "cost/AnalyticModel.h"
+#include "engine/Engine.h"
 #include "jit/JitRuntime.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
@@ -182,7 +182,7 @@ GeneratedModel generateFor(NetworkGraph Net, const CodeGenOptions &Opts = {}) {
   static PrimitiveLibrary Lib = buildFullLibrary();
   MachineProfile Profile = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Profile);
-  SelectionResult R = selectPBQP(Net, Lib, Costs);
+  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
   std::string Src = emitPlanSource(Net, R.Plan, Lib, Opts);
   return {std::move(Net), std::move(R.Plan), std::move(Src)};
 }
@@ -286,7 +286,7 @@ TEST(CodeGen, GeneratedProgramExecutesRandomResidualNetwork) {
   static PrimitiveLibrary Lib = buildFullLibrary();
   MachineProfile Profile = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Profile);
-  SelectionResult R = selectPBQP(Net, Lib, Costs);
+  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
   ASSERT_FALSE(R.Plan.empty());
 
   jit::JitOptions JO;

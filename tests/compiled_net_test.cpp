@@ -176,7 +176,7 @@ TEST(CompiledNet, ArtifactIsSelfContainedAndReportsPrepareWork) {
 TEST(CompiledNet, ExecutorFacadeSharesTheArtifact) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyDag(24);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   ASSERT_FALSE(R.Plan.empty());
 
   Executor Exec(Net, R.Plan, lib());

@@ -3,8 +3,8 @@
 #include "core/DTGraph.h"
 #include "core/Legalizer.h"
 #include "core/PBQPBuilder.h"
-#include "core/Selector.h"
 #include "core/Strategies.h"
+#include "engine/Engine.h"
 
 #include "cost/AnalyticModel.h"
 #include "nn/Models.h"
@@ -126,7 +126,7 @@ TEST(PBQPBuilder, StructureMirrorsNetwork) {
 TEST(Selector, SolvesOptimallyAndLegalizes) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyChain(16);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   EXPECT_TRUE(R.Solver.ProvablyOptimal);
   EXPECT_TRUE(isLegalized(R.Plan, Net));
   EXPECT_GT(R.ModelledCostMs, 0.0);
@@ -136,7 +136,7 @@ TEST(Selector, SolvesOptimallyAndLegalizes) {
 TEST(Selector, DagNetworksSolveOptimally) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyDag(16);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   EXPECT_TRUE(R.Solver.ProvablyOptimal);
   EXPECT_TRUE(isLegalized(R.Plan, Net));
 }
@@ -146,15 +146,15 @@ TEST(Selector, ModelledCostMatchesPBQPObjective) {
   // node costs are conv times, edge costs are shortest DT chains.
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyDag(16);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   EXPECT_NEAR(R.ModelledCostMs, R.Solver.TotalCost, 1e-6);
 }
 
 TEST(Selector, Deterministic) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyChain(16);
-  SelectionResult A = selectPBQP(Net, lib(), Prov);
-  SelectionResult B = selectPBQP(Net, lib(), Prov);
+  SelectionResult A = optimizeNetwork(Net, lib(), Prov);
+  SelectionResult B = optimizeNetwork(Net, lib(), Prov);
   EXPECT_EQ(A.Plan.ConvPrim, B.Plan.ConvPrim);
   EXPECT_EQ(A.Plan.OutLayout, B.Plan.OutLayout);
 }
@@ -172,9 +172,10 @@ TEST(Strategies, NamesRoundTrip) {
 TEST(Strategies, AllProduceLegalPlans) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyDag(16);
+  Engine Eng(lib(), Prov);
   for (uint8_t I = 0; I <= static_cast<uint8_t>(Strategy::ArmclLike); ++I) {
     Strategy S = static_cast<Strategy>(I);
-    NetworkPlan Plan = planForStrategy(S, Net, lib(), Prov);
+    NetworkPlan Plan = Eng.planFor(S, Net);
     EXPECT_TRUE(isLegalized(Plan, Net)) << strategyName(S);
   }
 }
@@ -229,7 +230,7 @@ TEST_P(PBQPBeatsBaselines, OptimalityOverStrategies) {
                          ? tinyChain(16)
                          : *buildModel(Model, 0.2);
 
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   ASSERT_TRUE(R.Solver.ProvablyOptimal);
   for (Strategy S : figureStrategies(true)) {
     if (S == Strategy::PBQP)
@@ -297,7 +298,7 @@ TEST(SolverOverhead, WellUnderOneSecondForAllModels) {
   AnalyticCostProvider Prov = makeProvider();
   for (const std::string &Name : modelNames()) {
     NetworkGraph Net = *buildModel(Name, 0.2);
-    SelectionResult R = selectPBQP(Net, lib(), Prov);
+    SelectionResult R = optimizeNetwork(Net, lib(), Prov);
     EXPECT_TRUE(R.Solver.ProvablyOptimal) << Name;
     EXPECT_LT(R.SolveMillis, 1000.0) << Name;
   }

@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <thread>
 
 using namespace primsel;
@@ -424,11 +423,7 @@ TEST_P(BatchedServeDiff, BatchedResponsesBitIdenticalToSequentialExecutor) {
     Tensor3D T(Sh.C, Sh.H, Sh.W, Layout::CHW);
     T.fillRandom(53 + I);
     Seq.run(T);
-    const Tensor3D &O = Seq.networkOutput();
-    Tensor3D Ref(O.channels(), O.height(), O.width(), O.layout());
-    std::memcpy(Ref.data(), O.data(),
-                static_cast<size_t>(O.size()) * sizeof(float));
-    Reference.push_back(std::move(Ref));
+    Reference.push_back(Seq.networkOutput().clone());
     Inputs.push_back(std::move(T));
   }
 

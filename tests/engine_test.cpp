@@ -26,22 +26,6 @@ AnalyticCostProvider makeProvider(unsigned Threads = 1) {
   return AnalyticCostProvider(lib(), MachineProfile::haswell(), Threads);
 }
 
-TEST(Engine, MatchesLegacySelectPBQP) {
-  AnalyticCostProvider Prov = makeProvider();
-  NetworkGraph Net = tinyDag(32);
-
-  SelectionResult Legacy = selectPBQP(Net, lib(), Prov);
-  SelectionResult Engined = optimizeNetwork(Net, lib(), Prov);
-
-  EXPECT_EQ(Engined.Backend, "reduction");
-  EXPECT_EQ(Engined.NumNodes, Legacy.NumNodes);
-  EXPECT_EQ(Engined.NumEdges, Legacy.NumEdges);
-  EXPECT_DOUBLE_EQ(Engined.ModelledCostMs, Legacy.ModelledCostMs);
-  EXPECT_EQ(Engined.Plan.ConvPrim, Legacy.Plan.ConvPrim);
-  EXPECT_EQ(Engined.Plan.OutLayout, Legacy.Plan.OutLayout);
-  EXPECT_TRUE(isLegalized(Engined.Plan, Net));
-}
-
 TEST(Engine, AllBackendsSelectableByNameAndAgree) {
   AnalyticCostProvider Prov = makeProvider();
   // Brute force enumerates the full assignment space, so use a micro

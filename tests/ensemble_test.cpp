@@ -9,9 +9,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Selector.h"
 #include "core/Strategies.h"
 #include "cost/AnalyticModel.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "primitives/Reference.h"
 #include "primitives/Registry.h"
@@ -186,7 +186,7 @@ TEST(HwcCorrectness, VendorRoutinesRejectSparseScenarios) {
 
 double pbqpCost(const NetworkGraph &Net, const PrimitiveLibrary &Lib,
                 CostProvider &Costs) {
-  SelectionResult R = selectPBQP(Net, Lib, Costs);
+  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
   EXPECT_FALSE(R.Plan.empty());
   return R.ModelledCostMs;
 }
@@ -219,7 +219,7 @@ TEST(EnsembleSelection, MixedPlanIsLegalizedAndTagsReported) {
   const PrimitiveLibrary &Lib = ensembleLibrary();
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(Lib, Prof);
-  SelectionResult R = selectPBQP(Net, Lib, Costs);
+  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
   ASSERT_FALSE(R.Plan.empty());
   EXPECT_TRUE(isLegalized(R.Plan, Net));
 

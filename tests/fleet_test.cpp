@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -30,14 +29,6 @@ using namespace primsel;
 using namespace primsel::serve;
 
 namespace {
-
-/// Deep copy of a context/executor output (their buffers are reused).
-Tensor3D cloneTensor(const Tensor3D &T) {
-  Tensor3D Out(T.channels(), T.height(), T.width(), T.layout());
-  std::memcpy(Out.data(), T.data(),
-              static_cast<size_t>(T.size()) * sizeof(float));
-  return Out;
-}
 
 Tensor3D inputFor(const NetworkGraph &Net, uint64_t Seed) {
   const TensorShape &Sh = Net.node(0).OutShape;
@@ -154,7 +145,7 @@ TEST(ModelRegistry, EvictionThenReuseHitsPlanCacheAndStaysBitIdentical) {
   {
     std::unique_ptr<ExecutionContext> Ctx = First->newContext();
     Ctx->run(In);
-    RefOut = cloneTensor(Ctx->networkOutput());
+    RefOut = Ctx->networkOutput().clone();
   }
   // The sequential Executor is the independent oracle.
   {
@@ -352,7 +343,7 @@ TEST(FleetServer, MixedModelsBitIdenticalToSequentialExecutor) {
     Tensor3D In = inputFor(CN->graph(), 41);
     Executor Seq(CN->graph(), CN->plan(), H.Lib);
     Seq.run(In);
-    Ref.emplace(Name, cloneTensor(Seq.networkOutput()));
+    Ref.emplace(Name, Seq.networkOutput().clone());
     Input.emplace(Name, std::move(In));
   }
 
@@ -407,7 +398,7 @@ TEST(FleetServer, UnadmittableModelIsRejectedWithoutStallingOtherLanes) {
   Tensor3D SmallIn = inputFor(CN->graph(), 61);
   Executor Seq(CN->graph(), CN->plan(), H.Lib);
   Seq.run(SmallIn);
-  Tensor3D Ref = cloneTensor(Seq.networkOutput());
+  Tensor3D Ref = Seq.networkOutput().clone();
   Tensor3D BigIn = inputFor(*Reg.graphOf(Big), 62);
 
   FleetOptions FOpts;
@@ -456,7 +447,7 @@ TEST(FleetServer, HotSwapRacingSubmittersSeeOldOrNewNeverTorn) {
   Tensor3D In = inputFor(CN->graph(), 51);
   Executor Seq(CN->graph(), CN->plan(), H.Lib);
   Seq.run(In);
-  Tensor3D Ref = cloneTensor(Seq.networkOutput());
+  Tensor3D Ref = Seq.networkOutput().clone();
 
   FleetOptions FOpts;
   FOpts.Batch.MaxBatch = 2;
@@ -640,7 +631,7 @@ TEST(FleetLadder, LanesServeThroughBucketsBitIdentically) {
   Tensor3D In = inputFor(CN->graph(), 61);
   Executor Seq(CN->graph(), CN->plan(), H.Lib);
   Seq.run(In);
-  Tensor3D Ref = cloneTensor(Seq.networkOutput());
+  Tensor3D Ref = Seq.networkOutput().clone();
 
   FleetOptions FOpts;
   FOpts.Batch.MaxBatch = 4;

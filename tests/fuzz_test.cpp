@@ -69,7 +69,7 @@ TEST_P(RandomNetworkTest, SelectionIsLegalizedAndSupported) {
   NetworkGraph Net = randomNetwork(GetParam());
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(library(), Prof);
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   EXPECT_TRUE(isLegalized(R.Plan, Net));
   for (NetworkGraph::NodeId N : Net.convNodes()) {
@@ -84,7 +84,7 @@ TEST_P(RandomNetworkTest, PBQPNeverLosesToBaselineStrategies) {
   NetworkGraph Net = randomNetwork(GetParam());
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(library(), Prof);
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   if (!R.Solver.ProvablyOptimal)
     GTEST_SKIP() << "RN heuristic used; optimality not guaranteed";
@@ -105,7 +105,7 @@ TEST_P(RandomNetworkTest, OptimizedExecutionMatchesBaselineExecution) {
   MachineProfile Prof = MachineProfile::haswell();
   AnalyticCostProvider Costs(library(), Prof);
 
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   NetworkPlan Baseline =
       planForStrategy(Strategy::Sum2D, Net, library(), Costs);
@@ -191,7 +191,7 @@ TEST_P(ResidualNetworkTest, GeneratorProducesResidualGraphs) {
 TEST_P(ResidualNetworkTest, SelectionIsLegalizedAndSupported) {
   NetworkGraph Net = randomResidualNetwork(GetParam());
   AnalyticCostProvider Costs(library(), MachineProfile::haswell());
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   EXPECT_TRUE(isLegalized(R.Plan, Net));
   for (NetworkGraph::NodeId N : Net.convNodes()) {
@@ -208,7 +208,7 @@ TEST_P(ResidualNetworkTest, SelectionIsLegalizedAndSupported) {
 TEST_P(ResidualNetworkTest, PBQPNeverLosesToBaselineStrategies) {
   NetworkGraph Net = randomResidualNetwork(GetParam());
   AnalyticCostProvider Costs(library(), MachineProfile::haswell());
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   if (!R.Solver.ProvablyOptimal)
     GTEST_SKIP() << "RN heuristic used; optimality not guaranteed";
@@ -228,7 +228,7 @@ TEST_P(ResidualNetworkTest, OptimizedExecutionMatchesBaselineExecution) {
                                            /*Stages=*/2);
   AnalyticCostProvider Costs(library(), MachineProfile::haswell());
 
-  SelectionResult R = selectPBQP(Net, library(), Costs);
+  SelectionResult R = optimizeNetwork(Net, library(), Costs);
   ASSERT_FALSE(R.Plan.empty());
   NetworkPlan Baseline =
       planForStrategy(Strategy::Sum2D, Net, library(), Costs);

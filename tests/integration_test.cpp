@@ -5,10 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Selector.h"
 #include "core/Strategies.h"
 #include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
 
@@ -38,7 +38,7 @@ void expectEquivalentExecution(const NetworkGraph &Net,
   Executor Ref(Net, RefPlan, lib());
   Ref.run(In);
 
-  SelectionResult R = selectPBQP(Net, lib(), Costs);
+  SelectionResult R = optimizeNetwork(Net, lib(), Costs);
   ASSERT_TRUE(R.Solver.ProvablyOptimal);
   Executor Opt(Net, R.Plan, lib());
   RunResult Timing = Opt.run(In);
@@ -87,13 +87,13 @@ TEST(Integration, CostDatabaseShippableAcrossProviders) {
   NetworkGraph Net = tinyChain(16);
 
   MeasuredCostProvider First(lib(), Opts);
-  SelectionResult A = selectPBQP(Net, lib(), First);
+  SelectionResult A = optimizeNetwork(Net, lib(), First);
   std::string Path = ::testing::TempDir() + "/primsel_integration_db.txt";
   ASSERT_TRUE(First.database().save(Path));
 
   MeasuredCostProvider Second(lib(), Opts);
   ASSERT_TRUE(Second.database().load(Path));
-  SelectionResult B = selectPBQP(Net, lib(), Second);
+  SelectionResult B = optimizeNetwork(Net, lib(), Second);
   EXPECT_EQ(A.Plan.ConvPrim, B.Plan.ConvPrim);
   EXPECT_NEAR(A.ModelledCostMs, B.ModelledCostMs, 1e-9);
   std::remove(Path.c_str());
@@ -106,8 +106,8 @@ TEST(Integration, MultithreadedCostsCanChangeSelection) {
   AnalyticCostProvider Single(lib(), MachineProfile::haswell(), 1);
   AnalyticCostProvider Multi(lib(), MachineProfile::haswell(), 4);
   NetworkGraph Net = alexNet(0.2);
-  SelectionResult S = selectPBQP(Net, lib(), Single);
-  SelectionResult M = selectPBQP(Net, lib(), Multi);
+  SelectionResult S = optimizeNetwork(Net, lib(), Single);
+  SelectionResult M = optimizeNetwork(Net, lib(), Multi);
   EXPECT_TRUE(S.Solver.ProvablyOptimal);
   EXPECT_TRUE(M.Solver.ProvablyOptimal);
   EXPECT_LT(M.ModelledCostMs, S.ModelledCostMs);
@@ -119,8 +119,8 @@ TEST(Integration, SelectionsDifferAcrossArchitectures) {
   AnalyticCostProvider Intel(lib(), MachineProfile::haswell(), 1);
   AnalyticCostProvider Arm(lib(), MachineProfile::cortexA57(), 1);
   NetworkGraph Net = vggB(0.25);
-  SelectionResult I = selectPBQP(Net, lib(), Intel);
-  SelectionResult A = selectPBQP(Net, lib(), Arm);
+  SelectionResult I = optimizeNetwork(Net, lib(), Intel);
+  SelectionResult A = optimizeNetwork(Net, lib(), Arm);
   EXPECT_NE(I.Plan.ConvPrim, A.Plan.ConvPrim);
 }
 

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <future>
 #include <map>
 #include <thread>
@@ -35,14 +34,6 @@ using namespace primsel;
 using namespace primsel::serve;
 
 namespace {
-
-/// Deep copy of a context/executor output (their buffers are reused).
-Tensor3D cloneTensor(const Tensor3D &T) {
-  Tensor3D Out(T.channels(), T.height(), T.width(), T.layout());
-  std::memcpy(Out.data(), T.data(),
-              static_cast<size_t>(T.size()) * sizeof(float));
-  return Out;
-}
 
 Tensor3D inputFor(const NetworkGraph &Net, uint64_t Seed) {
   const TensorShape &Sh = Net.node(0).OutShape;
@@ -256,7 +247,7 @@ TEST(BatchContext, BitIdenticalToSequentialExecutorAtEveryGridPoint) {
   for (uint64_t I = 0; I < 4; ++I) {
     Inputs.push_back(inputFor(Anchor->graph(), 31 + I));
     Seq.run(Inputs.back());
-    Reference.push_back(cloneTensor(Seq.networkOutput()));
+    Reference.push_back(Seq.networkOutput().clone());
   }
 
   for (const CompiledNetLadder::Rung &R : L->residentRungs()) {
@@ -412,7 +403,7 @@ TEST(ExecuteBatchLadder, GathersOneBatchedRunAndScattersPerImageOutputs) {
   for (uint64_t I = 0; I < 3; ++I) {
     Inputs.push_back(inputFor(Anchor->graph(), 41 + I));
     Seq.run(Inputs.back());
-    Reference.push_back(cloneTensor(Seq.networkOutput()));
+    Reference.push_back(Seq.networkOutput().clone());
   }
 
   VirtualClock Clk;

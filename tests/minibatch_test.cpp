@@ -11,9 +11,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "batch/Minibatch.h"
-#include "core/Selector.h"
 #include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "primitives/Reference.h"
 #include "support/ThreadPool.h"
@@ -290,7 +290,7 @@ TEST(BatchSelection, PBQPSelectsPerLayerSchedulesOnBatchedNetwork) {
   Opts.Threads = 4;
   MeasuredCostProvider Costs(Lib, Opts);
 
-  SelectionResult R = selectPBQP(Net, Lib, Costs);
+  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
   ASSERT_FALSE(R.Plan.empty());
   EXPECT_TRUE(isLegalized(R.Plan, Net));
   for (NetworkGraph::NodeId N : Net.convNodes()) {

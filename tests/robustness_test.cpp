@@ -8,9 +8,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Legalizer.h"
-#include "core/Selector.h"
 #include "core/Strategies.h"
 #include "cost/AnalyticModel.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "cost/CostDatabase.h"
 #include "pbqp/BruteForce.h"
@@ -75,7 +75,7 @@ TEST(Robustness, PBQPStillSolvesWithForbiddenTransforms) {
   AnalyticCostProvider Base(lib(), MachineProfile::haswell(), 1);
   RestrictedTransformProvider Prov(Base, /*ForbidAll=*/true);
   NetworkGraph Net = tinyDag(16);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   EXPECT_TRUE(std::isfinite(R.Solver.TotalCost));
   EXPECT_TRUE(R.Plan.Chains.empty());
   EXPECT_TRUE(isLegalized(R.Plan, Net));
@@ -142,7 +142,7 @@ TEST(Robustness, DegenerateOneByOneNetwork) {
   auto Fc = Net.addLayer(Layer::fullyConnected("fc", 3), {C1});
   (void)Fc;
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   Executor Exec(Net, R.Plan, lib());
   Tensor3D Input(4, 3, 3, Layout::CHW);
   Input.fillRandom(1);
@@ -155,9 +155,9 @@ TEST(Robustness, SingleConvNetworkEveryStrategy) {
   auto In = Net.addInput("in", {3, 9, 9});
   Net.addLayer(Layer::conv("only", 4, 3, 1, 1), {In});
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
+  Engine Eng(lib(), Prov);
   for (uint8_t I = 0; I <= static_cast<uint8_t>(Strategy::ArmclLike); ++I) {
-    NetworkPlan Plan =
-        planForStrategy(static_cast<Strategy>(I), Net, lib(), Prov);
+    NetworkPlan Plan = Eng.planFor(static_cast<Strategy>(I), Net);
     EXPECT_TRUE(isLegalized(Plan, Net));
     Executor Exec(Net, Plan, lib());
     Tensor3D Input(3, 9, 9, Layout::CHW);

@@ -3,9 +3,9 @@
 #include "runtime/ExecutionPlan.h"
 #include "runtime/Executor.h"
 
-#include "core/Selector.h"
 #include "core/Strategies.h"
 #include "cost/AnalyticModel.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "tensor/Transform.h"
 
@@ -60,7 +60,7 @@ TEST(ExecutionPlan, EmitsTransformStepsForChains) {
 TEST(ExecutionPlan, DumpMentionsPrimitiveNames) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyChain(16);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   std::string Listing =
       R.Plan.Chains.empty()
           ? ExecutionPlan::compile(Net, R.Plan, lib()).dump(Net, R.Plan,
@@ -102,7 +102,8 @@ TEST_P(StrategyEquivalence, MatchesSum2DReferenceOnChain) {
   Executor Ref(Net, RefPlan, lib());
   Ref.run(In);
 
-  NetworkPlan Plan = planForStrategy(GetParam(), Net, lib(), Prov);
+  Engine Eng(lib(), Prov);
+  NetworkPlan Plan = Eng.planFor(GetParam(), Net);
   Executor Exec(Net, Plan, lib());
   Exec.run(In);
 
@@ -120,7 +121,8 @@ TEST_P(StrategyEquivalence, MatchesSum2DReferenceOnDag) {
   Executor Ref(Net, RefPlan, lib());
   Ref.run(In);
 
-  NetworkPlan Plan = planForStrategy(GetParam(), Net, lib(), Prov);
+  Engine Eng(lib(), Prov);
+  NetworkPlan Plan = Eng.planFor(GetParam(), Net);
   Executor Exec(Net, Plan, lib());
   Exec.run(In);
 
@@ -162,7 +164,7 @@ TEST(Executor, MultithreadedMatchesSingleThreaded) {
 TEST(Executor, TimingBreakdownSumsSensibly) {
   AnalyticCostProvider Prov = makeProvider();
   NetworkGraph Net = tinyChain(24);
-  NetworkPlan Plan = planForStrategy(Strategy::PBQP, Net, lib(), Prov);
+  NetworkPlan Plan = optimizeNetwork(Net, lib(), Prov).Plan;
   Executor Exec(Net, Plan, lib());
   RunResult R = Exec.run(makeInput(Net));
   EXPECT_GE(R.ConvMillis, 0.0);

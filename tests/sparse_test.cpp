@@ -6,10 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Selector.h"
 #include "core/Strategies.h"
 #include "cost/AnalyticModel.h"
 #include "cost/Profiler.h"
+#include "engine/Engine.h"
 #include "nn/Models.h"
 #include "primitives/Reference.h"
 #include "primitives/Registry.h"
@@ -193,7 +193,7 @@ TEST(SparseSelection, PBQPPicksSparseOnlyForSparseLayers) {
   (void)C2;
 
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
-  SelectionResult R = selectPBQP(Net, lib(), Prov);
+  SelectionResult R = optimizeNetwork(Net, lib(), Prov);
   ASSERT_TRUE(R.Solver.ProvablyOptimal);
   auto Convs = Net.convNodes();
   EXPECT_NE(lib().get(R.Plan.ConvPrim[Convs[0]]).family(),
@@ -214,7 +214,7 @@ TEST(SparseSelection, ExecutionStillMatchesReference) {
 
   AnalyticCostProvider Prov(lib(), MachineProfile::haswell(), 1);
   NetworkPlan Ref = planForStrategy(Strategy::Sum2D, Net, lib(), Prov);
-  SelectionResult Opt = selectPBQP(Net, lib(), Prov);
+  SelectionResult Opt = optimizeNetwork(Net, lib(), Prov);
 
   Tensor3D Input(8, 20, 20, Layout::CHW);
   Input.fillRandom(3);

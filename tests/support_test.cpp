@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - support module tests ----------------------===//
 
 #include "support/AlignedBuffer.h"
+#include "support/Parse.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -225,6 +226,48 @@ TEST(Stats, SummaryP999MatchesHandComputedNearestRank) {
   // Empty stays all-zero.
   std::vector<double> None;
   EXPECT_DOUBLE_EQ(summarizeLatencies(None).P999, 0.0);
+}
+
+TEST(Parse, CountAcceptsPlainDecimalsInRange) {
+  unsigned Out = 0;
+  EXPECT_TRUE(parseCount("1", Out, 10));
+  EXPECT_EQ(Out, 1u);
+  EXPECT_TRUE(parseCount("10", Out, 10));
+  EXPECT_EQ(Out, 10u);
+  EXPECT_TRUE(parseCount("007", Out, 10));
+  EXPECT_EQ(Out, 7u);
+}
+
+TEST(Parse, CountRefusesGarbageAndLeavesOutAlone) {
+  for (const char *Bad : {"", "10abc", "1e3", "0x1", "1e999", "2x", "-3",
+                          "+3", " 3", "3.0", "0", "11",
+                          "99999999999999999999999"}) {
+    unsigned Out = 5;
+    EXPECT_FALSE(parseCount(Bad, Out, 10)) << "'" << Bad << "'";
+    EXPECT_EQ(Out, 5u) << "'" << Bad << "'";
+  }
+}
+
+TEST(Parse, DoubleAcceptsDecimalNotation) {
+  double Out = 0.0;
+  EXPECT_TRUE(parseDouble("0.25", Out));
+  EXPECT_DOUBLE_EQ(Out, 0.25);
+  EXPECT_TRUE(parseDouble("1e3", Out));
+  EXPECT_DOUBLE_EQ(Out, 1000.0);
+  EXPECT_TRUE(parseDouble("-2.5E-1", Out));
+  EXPECT_DOUBLE_EQ(Out, -0.25);
+  EXPECT_TRUE(parseDouble("0", Out));
+  EXPECT_DOUBLE_EQ(Out, 0.0);
+}
+
+TEST(Parse, DoubleRefusesGarbageAndLeavesOutAlone) {
+  for (const char *Bad : {"", "abc", "10abc", "0x1", "1e999", "-1e999",
+                          "inf", "nan", " 1", "1 ", "5ms", "2q", ".", "e",
+                          "1e"}) {
+    double Out = 7.0;
+    EXPECT_FALSE(parseDouble(Bad, Out)) << "'" << Bad << "'";
+    EXPECT_DOUBLE_EQ(Out, 7.0) << "'" << Bad << "'";
+  }
 }
 
 TEST(Timer, MeasuresNonNegative) {

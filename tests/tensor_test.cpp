@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace primsel;
 
 TEST(Layout, NamesRoundTrip) {
@@ -73,6 +75,38 @@ TEST(Tensor, AtReadsWhatWasWritten) {
         for (int64_t W = 0; W < 4; ++W)
           EXPECT_EQ(T.at(C, H, W), static_cast<float>(100 * C + 10 * H + W));
   }
+}
+
+TEST(Tensor, CloneIsAnIndependentCopy) {
+  Tensor3D Src(2, 3, 4, Layout::HWC);
+  Src.fillRandom(5);
+  Tensor3D Copy = Src.clone();
+  EXPECT_EQ(Copy.layout(), Layout::HWC);
+  EXPECT_TRUE(Copy.sameShape(Src));
+  EXPECT_NE(Copy.data(), Src.data());
+  EXPECT_EQ(maxAbsDifference(Copy, Src), 0.0f);
+
+  float Before = Src.at(1, 2, 3);
+  Copy.at(1, 2, 3) = Before + 1.0f;
+  EXPECT_EQ(Src.at(1, 2, 3), Before);
+  EXPECT_EQ(Tensor3D().clone().size(), 0);
+}
+
+TEST(Tensor, CloneOfAnArenaViewOwnsItsStorage) {
+  Tensor3D Copy;
+  {
+    std::vector<float> Arena(2 * 3 * 4, 7.0f);
+    Tensor3D View(2, 3, 4, Layout::CHW, Arena.data());
+    Copy = View.clone();
+    EXPECT_NE(Copy.data(), Arena.data());
+    Arena[0] = -1.0f; // the arena slot is reused by a later step
+    EXPECT_EQ(View.at(0, 0, 0), -1.0f);
+  }
+  // The arena is gone; the clone still holds the values it copied.
+  for (int64_t C = 0; C < 2; ++C)
+    for (int64_t H = 0; H < 3; ++H)
+      for (int64_t W = 0; W < 4; ++W)
+        EXPECT_EQ(Copy.at(C, H, W), 7.0f);
 }
 
 TEST(Tensor, Kernel4DIndexing) {
