@@ -9,12 +9,18 @@
 // dimension; the pack buffers are thread-local and reused across calls, so
 // the serving hot path allocates nothing after warm-up.
 //
+// A product whose N side is narrower than its M side, in padded register
+// tiles, runs transposed (C^T = B^T A^T) on the same micro-kernel, so a
+// 4-column product does not spend most of an NR-wide tile on zeros.
+//
 // Bit-identity contract: element C[i][j] accumulates its K products in
 // ascending-k order -- fixed KC blocking, register accumulation within a
 // block, one add into C per block -- independent of tile position, edge
-// handling, worker count, or partition dimension. sgemm therefore returns
-// bitwise-identical results for any Pool/MaxThreads. The Naive variant keeps
-// the textbook loops (it is priced as the slow baseline primitive).
+// handling, orientation, worker count, or partition dimension. sgemm
+// therefore returns bitwise-identical results for any Pool/MaxThreads. The
+// Naive variant keeps the textbook loops (it is priced as the slow baseline
+// primitive). sgemv sums each row in fixed lanes and is likewise
+// independent of the pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +33,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 using namespace primsel;
 using namespace primsel::gemm;
@@ -82,75 +92,114 @@ void ensureCapacity(AlignedBuffer &Buf, size_t NumFloats) {
     Buf.reset(NumFloats);
 }
 
-/// Pack the MR x Kc A tile at row I0, k offset Pc: Panel[p * MR + i] =
-/// A[I0 + i][Pc + p], zero beyond row M.
-void packATile(const float *A, int64_t M, int64_t K, int64_t I0, int MR,
-               int64_t Pc, int64_t Kc, float *Panel) {
-  int Mr = static_cast<int>(std::min<int64_t>(MR, M - I0));
-  for (int64_t P = 0; P < Kc; ++P) {
-    const float *Col = A + Pc + P;
-    float *Out = Panel + P * MR;
-    for (int I = 0; I < Mr; ++I)
-      Out[I] = Col[(I0 + I) * K];
-    for (int I = Mr; I < MR; ++I)
-      Out[I] = 0.0f;
-  }
+/// Dst[j * LdD + i] = Src[i * LdS + j] for a 4 x 4 block.
+inline void transpose4x4(const float *Src, int64_t LdS, float *Dst,
+                         int64_t LdD) {
+#if defined(__SSE__)
+  __m128 R0 = _mm_loadu_ps(Src), R1 = _mm_loadu_ps(Src + LdS),
+         R2 = _mm_loadu_ps(Src + 2 * LdS), R3 = _mm_loadu_ps(Src + 3 * LdS);
+  _MM_TRANSPOSE4_PS(R0, R1, R2, R3);
+  _mm_storeu_ps(Dst, R0);
+  _mm_storeu_ps(Dst + LdD, R1);
+  _mm_storeu_ps(Dst + 2 * LdD, R2);
+  _mm_storeu_ps(Dst + 3 * LdD, R3);
+#else
+  for (int I = 0; I < 4; ++I)
+    for (int J = 0; J < 4; ++J)
+      Dst[J * LdD + I] = Src[I * LdS + J];
+#endif
 }
 
-/// Pack the Kc x NR B tile at column J0 from row-major K x N storage.
-void packBTile(const float *B, int64_t N, int64_t J0, int NR, int64_t Pc,
-               int64_t Kc, float *Panel) {
-  int Nr = static_cast<int>(std::min<int64_t>(NR, N - J0));
-  for (int64_t P = 0; P < Kc; ++P) {
-    const float *Row = B + (Pc + P) * N + J0;
-    float *Out = Panel + P * NR;
-    for (int J = 0; J < Nr; ++J)
-      Out[J] = Row[J];
-    for (int J = Nr; J < NR; ++J)
-      Out[J] = 0.0f;
+/// Pack a W-wide panel from an operand stored row-major as Rows x K whose
+/// rows become the panel's lanes: Panel[p * W + r] = Src[R0 + r][Pc + p],
+/// zero beyond row Rows. Packs A, and B when it is supplied transposed.
+/// Whole 4 x 4 blocks are transposed in registers, the rest one by one.
+void packRowsPanel(const float *Src, int64_t Rows, int64_t K, int64_t R0,
+                   int W, int64_t Pc, int64_t Kc, float *Panel) {
+  const int Wr = static_cast<int>(std::min<int64_t>(W, Rows - R0));
+  int R = 0;
+  for (; R + 4 <= Wr; R += 4) {
+    const float *Block = Src + (R0 + R) * K + Pc;
+    int64_t P = 0;
+    for (; P + 4 <= Kc; P += 4)
+      transpose4x4(Block + P, K, Panel + P * W + R, W);
+    for (; P < Kc; ++P)
+      for (int I = 0; I < 4; ++I)
+        Panel[P * W + R + I] = Block[I * K + P];
   }
-}
-
-/// Same tile from transposed storage (Bt is N x K row-major).
-void packBtTile(const float *Bt, int64_t K, int64_t N, int64_t J0, int NR,
-                int64_t Pc, int64_t Kc, float *Panel) {
-  int Nr = static_cast<int>(std::min<int64_t>(NR, N - J0));
-  for (int J = 0; J < Nr; ++J) {
-    const float *Col = Bt + (J0 + J) * K + Pc;
+  for (; R < Wr; ++R) {
+    const float *Row = Src + (R0 + R) * K + Pc;
     for (int64_t P = 0; P < Kc; ++P)
-      Panel[P * NR + J] = Col[P];
+      Panel[P * W + R] = Row[P];
   }
-  for (int J = Nr; J < NR; ++J)
+  for (; R < W; ++R)
     for (int64_t P = 0; P < Kc; ++P)
-      Panel[P * NR + J] = 0.0f;
+      Panel[P * W + R] = 0.0f;
 }
 
-/// Run the micro-kernel on one tile, routing edge tiles through a stack
-/// temp so the kernel always sees a full MR x NR footprint. The copy-out
-/// performs the same single add (or assign) into C that an interior tile's
-/// kernel store does, so edge handling never changes bits.
+/// Pack a W-wide panel from an operand stored row-major as K x Cols whose
+/// columns become the panel's lanes: Panel[p * W + c] = Src[Pc + p][C0 + c],
+/// zero beyond column Cols. Packs B in its plain storage.
+void packColsPanel(const float *Src, int64_t Cols, int64_t C0, int W,
+                   int64_t Pc, int64_t Kc, float *Panel) {
+  int Wc = static_cast<int>(std::min<int64_t>(W, Cols - C0));
+  for (int64_t P = 0; P < Kc; ++P) {
+    const float *Row = Src + (Pc + P) * Cols + C0;
+    float *Out = Panel + P * W;
+    for (int C = 0; C < Wc; ++C)
+      Out[C] = Row[C];
+    for (int C = Wc; C < W; ++C)
+      Out[C] = 0.0f;
+  }
+}
+
+/// Elements of a Rows x Cols grid once padded to whole MR x NR tiles.
+int64_t paddedArea(int64_t Rows, int64_t Cols, int MR, int NR) {
+  return (Rows + MR - 1) / MR * MR * ((Cols + NR - 1) / NR * NR);
+}
+
+/// Run the micro-kernel on one tile of the kernel-orientation grid (Rows x
+/// Cols; C itself when !Swap, C^T when Swap). Edge tiles and every swapped
+/// tile go through a stack temp, so the kernel always sees a full MR x NR
+/// footprint; the copy-out performs the same single add (or assign) into C
+/// that an interior tile's kernel store does, so neither edge handling nor
+/// orientation changes bits.
 void runTile(const MicroKernel &MK, int64_t Kc, const float *APanel,
-             const float *BPanel, float *C, int64_t LdC, int64_t M, int64_t N,
-             int64_t I0, int64_t J0, bool AccumBlock) {
+             const float *BPanel, float *C, int64_t LdC, int64_t Rows,
+             int64_t Cols, int64_t I0, int64_t J0, bool Swap,
+             bool AccumBlock) {
   const int MR = MK.MR, NR = MK.NR;
-  float *CTile = C + I0 * LdC + J0;
-  if (I0 + MR <= M && J0 + NR <= N) {
-    MK.Fn(Kc, APanel, BPanel, CTile, LdC, AccumBlock);
+  if (!Swap && I0 + MR <= Rows && J0 + NR <= Cols) {
+    MK.Fn(Kc, APanel, BPanel, C + I0 * LdC + J0, LdC, AccumBlock);
     return;
   }
   float Tmp[8 * 32]; // covers the largest tier geometry
   MK.Fn(Kc, APanel, BPanel, Tmp, NR, /*Accumulate=*/false);
-  int Mr = static_cast<int>(std::min<int64_t>(MR, M - I0));
-  int Nr = static_cast<int>(std::min<int64_t>(NR, N - J0));
-  for (int I = 0; I < Mr; ++I) {
-    float *Row = CTile + I * LdC;
-    const float *Src = Tmp + I * NR;
+  int Mr = static_cast<int>(std::min<int64_t>(MR, Rows - I0));
+  int Nr = static_cast<int>(std::min<int64_t>(NR, Cols - J0));
+  if (!Swap) {
+    for (int I = 0; I < Mr; ++I) {
+      float *Row = C + (I0 + I) * LdC + J0;
+      const float *Src = Tmp + I * NR;
+      if (AccumBlock)
+        for (int J = 0; J < Nr; ++J)
+          Row[J] += Src[J];
+      else
+        for (int J = 0; J < Nr; ++J)
+          Row[J] = Src[J];
+    }
+    return;
+  }
+  // Kernel element (i, j) is C[J0 + j][I0 + i].
+  for (int J = 0; J < Nr; ++J) {
+    float *Row = C + (J0 + J) * LdC + I0;
+    const float *Src = Tmp + J;
     if (AccumBlock)
-      for (int J = 0; J < Nr; ++J)
-        Row[J] += Src[J];
+      for (int I = 0; I < Mr; ++I)
+        Row[I] += Src[I * NR];
     else
-      for (int J = 0; J < Nr; ++J)
-        Row[J] = Src[J];
+      for (int I = 0; I < Mr; ++I)
+        Row[I] = Src[I * NR];
   }
 }
 
@@ -159,8 +208,18 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
                 bool Accumulate, ThreadPool *Pool, int MaxThreads) {
   const MicroKernel &MK = activeMicroKernel();
   const int MR = MK.MR, NR = MK.NR;
-  const int64_t MTiles = (M + MR - 1) / MR;
-  const int64_t NTiles = (N + NR - 1) / NR;
+  // Orientation: C^T = B^T A^T runs the same products on an N x M tile grid,
+  // with B packed as the MR-wide panels and A as the NR-wide ones. A
+  // 4-column product fills 4 of an NR = 32 tile's columns but 4 of an
+  // MR = 8 tile's rows. Every transposed tile is stored through the temp,
+  // which costs about NR k-steps of the kernel per tile and K block, so
+  // take that grid only when it pads to fewer elements by more than that.
+  const int64_t KcMax = std::min(K, KC);
+  const bool Swap = paddedArea(N, M, MR, NR) * (KcMax + NR) <
+                    paddedArea(M, N, MR, NR) * KcMax;
+  const int64_t Rows = Swap ? N : M, Cols = Swap ? M : N;
+  const int64_t MTiles = (Rows + MR - 1) / MR;
+  const int64_t NTiles = (Cols + NR - 1) / NR;
   // Partition the dimension with more register tiles; conv GEMMs typically
   // have a short M (output channels) and a long N (output pixels). The
   // choice only redistributes work -- it never changes any element's math.
@@ -176,7 +235,6 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
       W = std::min<int64_t>(W, MaxThreads);
   }
 
-  const int64_t KcMax = std::min(K, KC);
   PackScratch &S = packScratch();
   ensureCapacity(S.A, static_cast<size_t>(MTiles * MR * KcMax));
   ensureCapacity(S.B, static_cast<size_t>(NTiles * NR * KcMax));
@@ -187,17 +245,32 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
     const int64_t Kc = std::min(KC, K - Pc);
     const bool AccumBlock = Accumulate || Pc > 0;
 
+    // A W-wide panel of the caller's A (rows from I0) or B (columns from J0).
+    auto PackOfA = [&](int64_t I0, int Width, float *Panel) {
+      packRowsPanel(A, M, K, I0, Width, Pc, Kc, Panel);
+    };
+    auto PackOfB = [&](int64_t J0, int Width, float *Panel) {
+      if (BTransposed)
+        packRowsPanel(B, N, K, J0, Width, Pc, Kc, Panel);
+      else
+        packColsPanel(B, N, J0, Width, Pc, Kc, Panel);
+    };
     auto PackARange = [&](int64_t TB, int64_t TE) {
-      for (int64_t It = TB; It < TE; ++It)
-        packATile(A, M, K, It * MR, MR, Pc, Kc, APack + It * KcMax * MR);
+      for (int64_t It = TB; It < TE; ++It) {
+        float *Panel = APack + It * KcMax * MR;
+        if (Swap)
+          PackOfB(It * MR, MR, Panel);
+        else
+          PackOfA(It * MR, MR, Panel);
+      }
     };
     auto PackBRange = [&](int64_t TB, int64_t TE) {
       for (int64_t Jt = TB; Jt < TE; ++Jt) {
         float *Panel = BPack + Jt * KcMax * NR;
-        if (BTransposed)
-          packBtTile(B, K, N, Jt * NR, NR, Pc, Kc, Panel);
+        if (Swap)
+          PackOfA(Jt * NR, NR, Panel);
         else
-          packBTile(B, N, Jt * NR, NR, Pc, Kc, Panel);
+          PackOfB(Jt * NR, NR, Panel);
       }
     };
 
@@ -210,7 +283,7 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
         for (int64_t Jt = JB; Jt < JE; ++Jt)
           for (int64_t It = It0; It < It1; ++It)
             runTile(MK, Kc, APack + It * KcMax * MR, BPack + Jt * KcMax * NR,
-                    C, LdC, M, N, It * MR, Jt * NR, AccumBlock);
+                    C, LdC, Rows, Cols, It * MR, Jt * NR, Swap, AccumBlock);
       }
     };
 
@@ -289,10 +362,22 @@ void primsel::sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,
 
 void primsel::sgemv(int64_t M, int64_t K, const float *A, const float *X,
                     float *Y, bool Accumulate, ThreadPool *Pool) {
+  // Each row sums into Lanes independent partial sums (element p of a
+  // whole Lanes-wide chunk goes to lane p % Lanes), so the chunk loop
+  // vectorizes without reassociating; the lanes are then added in lane
+  // order and the K tail in ascending order. The order depends only on K.
+  constexpr int Lanes = 16;
   auto RunRow = [&](int64_t I) {
     const float *ARow = A + I * K;
+    float Part[Lanes] = {};
+    int64_t P = 0;
+    for (; P + Lanes <= K; P += Lanes)
+      for (int L = 0; L < Lanes; ++L)
+        Part[L] += ARow[P + L] * X[P + L];
     float Sum = 0.0f;
-    for (int64_t P = 0; P < K; ++P)
+    for (int L = 0; L < Lanes; ++L)
+      Sum += Part[L];
+    for (; P < K; ++P)
       Sum += ARow[P] * X[P];
     Y[I] = Accumulate ? Y[I] + Sum : Sum;
   };

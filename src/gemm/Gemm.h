@@ -43,12 +43,26 @@ const char *gemmVariantName(GemmVariant V);
 /// non-null the register-tile grid is partitioned across it, using at most
 /// \p MaxThreads workers when MaxThreads > 0 (0 = whole pool). Results are
 /// bitwise identical for every Pool/MaxThreads combination.
+///
+/// Orientation: with the active micro-kernel's MR x NR register tile and
+/// Kc = min(K, 256), the packed path computes C^T = B^T A^T instead (B
+/// packed as the MR-wide panels, A as the NR-wide ones, tiles stored
+/// transposed) exactly when
+///   roundUp(N, MR) * roundUp(M, NR) * (Kc + NR)
+///       < roundUp(M, MR) * roundUp(N, NR) * Kc,
+/// i.e. when the transposed tile grid pads to fewer elements by more than
+/// its transposed stores cost (about NR k-steps per tile and K block).
+/// The choice depends only on the shape and the tier, and every element
+/// still sums its products in ascending k with one add into C per K block,
+/// so it never changes bits.
 void sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,
            const float *A, const float *B, float *C, int64_t LdC,
            bool Accumulate, ThreadPool *Pool = nullptr, int MaxThreads = 0);
 
 /// y = A(MxK) * x + (Accumulate ? y : 0); row-major A. Used by
-/// fully-connected layers.
+/// fully-connected layers. Each row sums 16 independent lanes, adds them in
+/// lane order, then adds the K tail in order; a row is never split across
+/// workers, so results are bitwise identical for every Pool.
 void sgemv(int64_t M, int64_t K, const float *A, const float *X, float *Y,
            bool Accumulate, ThreadPool *Pool = nullptr);
 

@@ -4,24 +4,29 @@
 //
 // The Winograd family (paper §4): minimal-filtering convolution for K = 3
 // and K = 5. Two-dimensional variants transform N x N input tiles
-// (Y = A^T [(G g G^T) .* (B^T d B)] A) and batch the pointwise stage into
-// one M x C x Tiles product per frequency -- fast but memory hungry. The
-// one-dimensional variants apply F(m, r) along rows, once per kernel row:
-// more floating point operations but a working set of only a couple of rows,
-// which is why the paper's optimizer prefers them on the small-cache ARM
-// target (Figure 4). The vector-factor (vf4/vf8) variants change the tile
-// blocking of the pointwise stage, mirroring the paper's 4-way NEON vs
-// 8-way AVX2 Winograd codes.
+// (Y = A^T [(G g G^T) .* (B^T d B)] A) and run the pointwise stage as one
+// M x C x Tiles sgemm per frequency (Lavin & Gray's formulation) -- fast but
+// memory hungry. The one-dimensional variants apply F(m, r) along rows:
+// each block of up to RowBlock output rows transforms its input rows once,
+// then runs one sgemm per (frequency, kernel row) over the block's tiles,
+// accumulating over kernel rows. More floating point operations but a
+// working set of a few rows, which is why the paper's optimizer prefers
+// them on the small-cache ARM target (Figure 4). The input and output
+// transforms run over blocks of consecutive tiles with the tile as the
+// inner (vector) index; the vector-factor variants (vf4/vf8) set that block
+// width, mirroring the paper's 4-way NEON vs 8-way AVX2 Winograd codes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "primitives/Registry.h"
 
+#include "gemm/Gemm.h"
 #include "support/AlignedBuffer.h"
 #include "support/ThreadPool.h"
 #include "tensor/Transform.h"
 #include "winograd/ToomCook.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -34,50 +39,57 @@ struct WinoConfig {
   int64_t M;      ///< outputs per tile (per dimension)
   int64_t R;      ///< filter taps; must equal the scenario's K
   bool TwoD;      ///< 2D tiles vs row-wise 1D
-  int TileBlock;  ///< pointwise-stage blocking: the "vector factor"
+  int TileBlock;  ///< tiles per transform block: the "vector factor"
   Layout In;
   Layout Out;
   const char *Name;
 };
 
+/// Largest tile size N = m + r - 1 of the registered configs (F(3, 5)).
+constexpr int64_t MaxN = 7;
+
+/// Output rows per block of the 1D schedule.
+constexpr int64_t RowBlock = 8;
+
 /// ceil(A / B) for positive operands.
 int64_t ceilDiv(int64_t A, int64_t B) { return (A + B - 1) / B; }
 
-/// Accumulate Mo[M][T] += U[M][C] x V[C][T] with a TB-wide tile block in
-/// the inner loop (the "vector factor").
+/// Dst[o][x][l] = sum_a Mat[o][a] * Src[a][x][l] for o < Out, x < Inner and
+/// the TB lanes l of a tile block; Mat is Out x In row-major. The exact
+/// zeros of the Toom-Cook matrices are skipped.
 template <int TB>
-void freqGemmAccum(const float *U, const float *V, float *Mo, int64_t M,
-                   int64_t C, int64_t T) {
-  for (int64_t F = 0; F < M; ++F) {
-    float *Row = Mo + F * T;
-    const float *URow = U + F * C;
-    for (int64_t Ch = 0; Ch < C; ++Ch) {
-      float UV = URow[Ch];
-      const float *VRow = V + Ch * T;
-      int64_t I = 0;
-      for (; I + TB <= T; I += TB)
-        for (int B = 0; B < TB; ++B)
-          Row[I + B] += UV * VRow[I + B];
-      for (; I < T; ++I)
-        Row[I] += UV * VRow[I];
+void applyMatrix(const float *Mat, int64_t Out, int64_t In, int64_t Inner,
+                 const float *Src, float *Dst) {
+  const int64_t Len = Inner * TB;
+  for (int64_t O = 0; O < Out; ++O) {
+    float *D = Dst + O * Len;
+    std::fill(D, D + Len, 0.0f);
+    for (int64_t A = 0; A < In; ++A) {
+      const float W = Mat[O * In + A];
+      if (W == 0.0f)
+        continue;
+      const float *S = Src + A * Len;
+      for (int64_t X = 0; X < Len; ++X)
+        D[X] += W * S[X];
     }
   }
 }
 
-void runFreqGemm(int TileBlock, const float *U, const float *V, float *Mo,
-                 int64_t M, int64_t C, int64_t T) {
-  if (TileBlock == 8)
-    freqGemmAccum<8>(U, V, Mo, M, C, T);
+/// Run Body(I) for I in [0, Count), spread over the pool when it has
+/// workers.
+template <typename Fn>
+void forEach(const RunContext &Ctx, int64_t Count, Fn Body) {
+  if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
+    Ctx.Pool->parallelFor(0, Count, Body, Ctx.MaxThreads);
   else
-    freqGemmAccum<4>(U, V, Mo, M, C, T);
+    for (int64_t I = 0; I < Count; ++I)
+      Body(I);
 }
 
-/// Copy \p In into a zero-margin CHW buffer of Hp x Wp with the image at
-/// offset (Pad, Pad). Reads go through logical strides, so an HWC input
-/// pays its gather cost here.
-/// Copy \p In into \p P, a zero-margined Hp x Wp CHW tensor; P is only
-/// (re)allocated when its shape changed, so the instance-held scratch is
-/// reused run after run.
+/// Copy \p In into \p P, a zero-margined Hp x Wp CHW tensor with the image
+/// at offset (Pad, Pad). Reads go through logical strides, so an HWC input
+/// pays its gather cost here. P is only (re)allocated when its shape
+/// changed, so the instance-held scratch is reused run after run.
 void makeWinogradInputInto(const Tensor3D &In, int64_t Pad, int64_t Hp,
                            int64_t Wp, Tensor3D &P) {
   if (P.channels() != In.channels() || P.height() != Hp || P.width() != Wp ||
@@ -109,6 +121,7 @@ struct WinoPrepared : PreparedKernel {
                const Kernel4D &Weights)
       : T(generateWinograd(Cfg.M, Cfg.R)) {
     const int64_t N = T.N, R = Cfg.R;
+    assert(N <= MaxN && "tile larger than the transforms' block scratch");
     if (Cfg.TwoD) {
       U.reset(static_cast<size_t>(N * N * S.M * S.C));
       // U[freq][f][c] = (G g G^T)[i][j] for freq = i*N + j.
@@ -153,6 +166,68 @@ struct WinoPrepared : PreparedKernel {
   AlignedBuffer U;
 };
 
+/// 2D input transform of channel \p Ch: V[i*N + j][Ch][tile] =
+/// (B^T d B)[i][j] for the N x N patch d of each tile of the padded plane.
+template <int TB>
+void inputTransform2D(const WinogradTransform &T, const float *Plane,
+                      int64_t Wp, int64_t Tw, int64_t NumTiles, int64_t C,
+                      int64_t Ch, float *V) {
+  const int64_t N = T.N, M2 = T.M;
+  float D[MaxN * MaxN * TB], Tmp[MaxN * MaxN * TB], Vt[MaxN * MaxN * TB];
+  for (int64_t T0 = 0; T0 < NumTiles; T0 += TB) {
+    const int Nt = static_cast<int>(std::min<int64_t>(TB, NumTiles - T0));
+    // D[a][b][l]: tile T0 + l's patch. Lanes past the last tile repeat
+    // it; their results are never stored.
+    for (int L = 0; L < TB; ++L) {
+      const int64_t Tile = T0 + std::min(L, Nt - 1);
+      const float *Base = Plane + (Tile / Tw) * M2 * Wp + (Tile % Tw) * M2;
+      for (int64_t A = 0; A < N; ++A)
+        for (int64_t B = 0; B < N; ++B)
+          D[(A * N + B) * TB + L] = Base[A * Wp + B];
+    }
+    applyMatrix<TB>(T.BT.data(), N, N, N, D, Tmp); // Tmp[i][b][l]
+    for (int64_t I = 0; I < N; ++I)
+      applyMatrix<TB>(T.BT.data(), N, N, 1, Tmp + I * N * TB,
+                      Vt + I * N * TB); // Vt[i][j][l]
+    for (int64_t Freq = 0; Freq < N * N; ++Freq)
+      std::memcpy(V + (Freq * C + Ch) * NumTiles + T0, Vt + Freq * TB,
+                  static_cast<size_t>(Nt) * sizeof(float));
+  }
+}
+
+/// 2D output transform of filter \p F: each tile's m x m block of the Ho x
+/// Wo plane is A^T p A for its N x N product p = Mo[i*N + j][F][tile],
+/// clipped at the bottom and right edges.
+template <int TB>
+void outputTransform2D(const WinogradTransform &T, const float *Mo,
+                       int64_t NumFilters, int64_t Tw, int64_t NumTiles,
+                       int64_t Ho, int64_t Wo, int64_t F, float *Plane) {
+  const int64_t N = T.N, M2 = T.M;
+  float P[MaxN * MaxN * TB], Tmp[MaxN * MaxN * TB], Y[MaxN * MaxN * TB];
+  for (int64_t T0 = 0; T0 < NumTiles; T0 += TB) {
+    const int Nt = static_cast<int>(std::min<int64_t>(TB, NumTiles - T0));
+    for (int64_t Freq = 0; Freq < N * N; ++Freq) {
+      const float *Src = Mo + (Freq * NumFilters + F) * NumTiles + T0;
+      for (int L = 0; L < TB; ++L)
+        P[Freq * TB + L] = Src[std::min(L, Nt - 1)];
+    }
+    applyMatrix<TB>(T.AT.data(), M2, N, N, P, Tmp); // Tmp[i][b][l]
+    for (int64_t I = 0; I < M2; ++I)
+      applyMatrix<TB>(T.AT.data(), M2, N, 1, Tmp + I * N * TB,
+                      Y + I * M2 * TB); // Y[i][j][l]
+    for (int L = 0; L < Nt; ++L) {
+      const int64_t Tile = T0 + L;
+      const int64_t R0 = (Tile / Tw) * M2, C0 = (Tile % Tw) * M2;
+      const int64_t Rows = std::min(M2, Ho - R0), Cols = std::min(M2, Wo - C0);
+      for (int64_t I = 0; I < Rows; ++I) {
+        float *Row = Plane + (R0 + I) * Wo + C0;
+        for (int64_t J = 0; J < Cols; ++J)
+          Row[J] = Y[(I * M2 + J) * TB + L];
+      }
+    }
+  }
+}
+
 class Wino2DInstance : public ConvInstance {
 public:
   Wino2DInstance(const WinoConfig &Cfg, const ConvScenario &S,
@@ -180,7 +255,6 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
   const int64_t Th = ceilDiv(Ho, M2), Tw = ceilDiv(Wo, M2);
   const int64_t NumTiles = Th * Tw;
   const int64_t Hp = Th * M2 + Cfg.R - 1, Wp = Tw * M2 + Cfg.R - 1;
-  ThreadPool *Pool = Ctx.Pool;
 
   makeWinogradInputInto(In, S.Pad, Hp, Wp, PaddedScratch);
   const float *PD = PaddedScratch.data();
@@ -189,57 +263,27 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
     V.reset(static_cast<size_t>(N * N * S.C * NumTiles));
   if (Mo.size() < static_cast<size_t>(N * N * S.M * NumTiles))
     Mo.reset(static_cast<size_t>(N * N * S.M * NumTiles));
-  Mo.fill(0.0f);
 
   // Input transform: V[freq][c][tile] = (B^T d B)[i][j].
-  auto TransformChannel = [&](int64_t Ch) {
-    std::vector<float> D(static_cast<size_t>(N * N));
-    std::vector<float> Tmp(static_cast<size_t>(N * N));
-    for (int64_t TileR = 0; TileR < Th; ++TileR)
-      for (int64_t TileC = 0; TileC < Tw; ++TileC) {
-        int64_t Tile = TileR * Tw + TileC;
-        const float *Base =
-            PD + (Ch * Hp + TileR * M2) * Wp + TileC * M2;
-        for (int64_t I = 0; I < N; ++I)
-          std::memcpy(&D[I * N], Base + I * Wp,
-                      static_cast<size_t>(N) * sizeof(float));
-        // Tmp = B^T * d.
-        for (int64_t I = 0; I < N; ++I)
-          for (int64_t J = 0; J < N; ++J) {
-            float Acc = 0.0f;
-            for (int64_t A = 0; A < N; ++A)
-              Acc += T.BT[I * N + A] * D[A * N + J];
-            Tmp[I * N + J] = Acc;
-          }
-        // v[i][j] = sum_b Tmp[i][b] * BT[j][b].
-        for (int64_t I = 0; I < N; ++I)
-          for (int64_t J = 0; J < N; ++J) {
-            float Acc = 0.0f;
-            for (int64_t B = 0; B < N; ++B)
-              Acc += Tmp[I * N + B] * T.BT[J * N + B];
-            V[((I * N + J) * S.C + Ch) * NumTiles + Tile] = Acc;
-          }
-      }
-  };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.C, TransformChannel, Ctx.MaxThreads);
-  else
-    for (int64_t Ch = 0; Ch < S.C; ++Ch)
-      TransformChannel(Ch);
+  forEach(Ctx, S.C, [&](int64_t Ch) {
+    const float *Plane = PD + Ch * Hp * Wp;
+    if (Cfg.TileBlock == 8)
+      inputTransform2D<8>(T, Plane, Wp, Tw, NumTiles, S.C, Ch, V.data());
+    else
+      inputTransform2D<4>(T, Plane, Wp, Tw, NumTiles, S.C, Ch, V.data());
+  });
 
-  // Pointwise stage, batched per frequency.
-  auto FreqStage = [&](int64_t Freq) {
-    runFreqGemm(Cfg.TileBlock, U.data() + Freq * S.M * S.C,
-                V.data() + Freq * S.C * NumTiles,
-                Mo.data() + Freq * S.M * NumTiles, S.M, S.C, NumTiles);
-  };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, N * N, FreqStage, Ctx.MaxThreads);
-  else
-    for (int64_t Freq = 0; Freq < N * N; ++Freq)
-      FreqStage(Freq);
+  // Pointwise stage: Mo_f (M x Tiles) = U_f (M x C) * V_f (C x Tiles) per
+  // frequency. Frequencies are spread over the pool and each sgemm runs on
+  // one worker, so every MaxThreads gives the same bits.
+  forEach(Ctx, N * N, [&](int64_t Freq) {
+    sgemm(GemmVariant::Blocked, S.M, NumTiles, S.C,
+          U.data() + Freq * S.M * S.C, V.data() + Freq * S.C * NumTiles,
+          Mo.data() + Freq * S.M * NumTiles, NumTiles,
+          /*Accumulate=*/false);
+  });
 
-  // Output transform into the native CHW layout, clipped at the edges.
+  // Output transform into the native CHW layout.
   Layout Native = Layout::CHW;
   Tensor3D *Target = &Out;
   if (Out.layout() != Native) {
@@ -248,49 +292,104 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
     Target = &NativeScratch;
   }
   float *OD = Target->data();
-
-  auto InverseFilter = [&](int64_t F) {
-    std::vector<float> Mm(static_cast<size_t>(N * N));
-    std::vector<float> Tmp(static_cast<size_t>(M2 * N));
-    for (int64_t Tile = 0; Tile < NumTiles; ++Tile) {
-      for (int64_t I = 0; I < N; ++I)
-        for (int64_t J = 0; J < N; ++J)
-          Mm[I * N + J] =
-              Mo[((I * N + J) * S.M + F) * NumTiles + Tile];
-      // Tmp = A^T (m x N) * Mm.
-      for (int64_t I = 0; I < M2; ++I)
-        for (int64_t J = 0; J < N; ++J) {
-          float Acc = 0.0f;
-          for (int64_t A = 0; A < N; ++A)
-            Acc += T.AT[I * N + A] * Mm[A * N + J];
-          Tmp[I * N + J] = Acc;
-        }
-      int64_t TileR = Tile / Tw, TileC = Tile % Tw;
-      for (int64_t I = 0; I < M2; ++I) {
-        int64_t Row = TileR * M2 + I;
-        if (Row >= Ho)
-          break;
-        float *ORow = OD + (F * Ho + Row) * Wo;
-        for (int64_t J = 0; J < M2; ++J) {
-          int64_t Col = TileC * M2 + J;
-          if (Col >= Wo)
-            break;
-          float Acc = 0.0f;
-          for (int64_t B = 0; B < N; ++B)
-            Acc += Tmp[I * N + B] * T.AT[J * N + B];
-          ORow[Col] = Acc;
-        }
-      }
-    }
-  };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.M, InverseFilter, Ctx.MaxThreads);
-  else
-    for (int64_t F = 0; F < S.M; ++F)
-      InverseFilter(F);
+  forEach(Ctx, S.M, [&](int64_t F) {
+    float *Plane = OD + F * Ho * Wo;
+    if (Cfg.TileBlock == 8)
+      outputTransform2D<8>(T, Mo.data(), S.M, Tw, NumTiles, Ho, Wo, F, Plane);
+    else
+      outputTransform2D<4>(T, Mo.data(), S.M, Tw, NumTiles, Ho, Wo, F, Plane);
+  });
 
   if (Target != &Out)
     runTransform(*Target, Out);
+}
+
+/// Scratch of one worker's share of the 1D schedule, sized for one block of
+/// rows.
+struct RowBlockScratch {
+  AlignedBuffer V;  ///< V[freq][kr][c][col]: kernel row kr's GEMM operand
+  AlignedBuffer Mo; ///< Mo[freq][f][col]: pointwise products
+};
+
+/// The 1D schedule over output rows [RowBegin, RowEnd) of the padded CHW
+/// input \p PD, in blocks of up to RowBlock rows. A block's GEMM columns are
+/// col = row * Tw + tile; its input rows are transformed once, and input
+/// tile q (q = inrow * Tw + tile) feeds column q - kr * Tw of kernel row
+/// kr's operand.
+template <int TB>
+void runRowBlocks(const WinogradTransform &T, const ConvScenario &S,
+                  const float *U, const float *PD, int64_t Hp, int64_t Wp,
+                  float *OD, int64_t RowBegin, int64_t RowEnd,
+                  RowBlockScratch &Scr) {
+  const int64_t N = T.N, M1 = T.M, R = T.R;
+  const int64_t Ho = S.outHeight(), Wo = S.outWidth();
+  const int64_t Tw = ceilDiv(Wo, M1);
+  const int64_t MaxCols = std::min(RowBlock, RowEnd - RowBegin) * Tw;
+  if (Scr.V.size() < static_cast<size_t>(N * R * S.C * MaxCols))
+    Scr.V.reset(static_cast<size_t>(N * R * S.C * MaxCols));
+  if (Scr.Mo.size() < static_cast<size_t>(N * S.M * MaxCols))
+    Scr.Mo.reset(static_cast<size_t>(N * S.M * MaxCols));
+  float *V = Scr.V.data(), *Mo = Scr.Mo.data();
+  float D[MaxN * TB], Y[MaxN * TB];
+
+  for (int64_t R0 = RowBegin; R0 < RowEnd; R0 += RowBlock) {
+    const int64_t Rows = std::min(RowBlock, RowEnd - R0);
+    const int64_t Cols = Rows * Tw;
+    const int64_t InTiles = (Rows + R - 1) * Tw;
+
+    // Input transform: v = B^T d per input tile.
+    for (int64_t Ch = 0; Ch < S.C; ++Ch) {
+      const float *Chan = PD + (Ch * Hp + R0) * Wp;
+      for (int64_t Q0 = 0; Q0 < InTiles; Q0 += TB) {
+        const int64_t Nt = std::min<int64_t>(TB, InTiles - Q0);
+        for (int64_t L = 0; L < TB; ++L) {
+          const int64_t Q = Q0 + std::min(L, Nt - 1);
+          const float *Base = Chan + (Q / Tw) * Wp + (Q % Tw) * M1;
+          for (int64_t A = 0; A < N; ++A)
+            D[A * TB + L] = Base[A];
+        }
+        applyMatrix<TB>(T.BT.data(), N, N, 1, D, Y); // Y[i][l]
+        // Kernel row Kr reads input tiles [Kr * Tw, Kr * Tw + Cols).
+        for (int64_t Kr = 0; Kr < R; ++Kr) {
+          const int64_t Lo = std::max(Q0, Kr * Tw);
+          const int64_t Hi = std::min(Q0 + Nt, Kr * Tw + Cols);
+          if (Lo >= Hi)
+            continue;
+          for (int64_t I = 0; I < N; ++I)
+            std::memcpy(V + ((I * R + Kr) * S.C + Ch) * Cols + Lo - Kr * Tw,
+                        Y + I * TB + (Lo - Q0),
+                        static_cast<size_t>(Hi - Lo) * sizeof(float));
+        }
+      }
+    }
+
+    // Pointwise stage: Mo_f (M x Cols) = sum over kernel rows of
+    // U[kr][f] (M x C) * V[f][kr] (C x Cols).
+    for (int64_t Freq = 0; Freq < N; ++Freq)
+      for (int64_t Kr = 0; Kr < R; ++Kr)
+        sgemm(GemmVariant::Blocked, S.M, Cols, S.C,
+              U + (Kr * N + Freq) * S.M * S.C, V + (Freq * R + Kr) * S.C * Cols,
+              Mo + Freq * S.M * Cols, Cols, /*Accumulate=*/Kr > 0);
+
+    // Output transform: y = A^T p per (filter, row, tile), clipped at the
+    // right edge.
+    for (int64_t F = 0; F < S.M; ++F)
+      for (int64_t Q0 = 0; Q0 < Cols; Q0 += TB) {
+        const int64_t Nt = std::min<int64_t>(TB, Cols - Q0);
+        for (int64_t A = 0; A < N; ++A) {
+          const float *Src = Mo + (A * S.M + F) * Cols + Q0;
+          for (int64_t L = 0; L < TB; ++L)
+            D[A * TB + L] = Src[std::min(L, Nt - 1)];
+        }
+        applyMatrix<TB>(T.AT.data(), M1, N, 1, D, Y); // Y[i][l]
+        for (int64_t L = 0; L < Nt; ++L) {
+          const int64_t Q = Q0 + L, C0 = (Q % Tw) * M1;
+          float *ORow = OD + (F * Ho + R0 + Q / Tw) * Wo + C0;
+          for (int64_t I = 0; I < std::min(M1, Wo - C0); ++I)
+            ORow[I] = Y[I * TB + L];
+        }
+      }
+  }
 }
 
 class Wino1DInstance : public ConvInstance {
@@ -302,71 +401,13 @@ public:
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override;
 
 private:
-  void runRowRange(const float *PD, int64_t Hp, int64_t Wp, float *OD,
-                   int64_t RowBegin, int64_t RowEnd) const;
-
   WinoConfig Cfg;
   ConvScenario S;
   std::shared_ptr<const WinoPrepared> PK;
   Tensor3D PaddedScratch; ///< reused tile-margined input copy
   Tensor3D NativeScratch; ///< reused output staging when layouts differ
+  std::vector<RowBlockScratch> Scratch; ///< reused, one per row chunk
 };
-
-void Wino1DInstance::runRowRange(const float *PD, int64_t Hp, int64_t Wp,
-                                 float *OD, int64_t RowBegin,
-                                 int64_t RowEnd) const {
-  const WinogradTransform &T = PK->T;
-  const AlignedBuffer &U = PK->U;
-  const int64_t N = T.N, M1 = Cfg.M, R = Cfg.R;
-  const int64_t Ho = S.outHeight(), Wo = S.outWidth();
-  const int64_t Tw = ceilDiv(Wo, M1);
-  (void)Hp;
-
-  // Per-chunk scratch: one row's worth of transformed input and products.
-  std::vector<float> V(static_cast<size_t>(N * S.C * Tw));
-  std::vector<float> Mrow(static_cast<size_t>(N * S.M * Tw));
-
-  for (int64_t Row = RowBegin; Row < RowEnd; ++Row) {
-    std::fill(Mrow.begin(), Mrow.end(), 0.0f);
-    for (int64_t Kr = 0; Kr < R; ++Kr) {
-      // Transform the needed padded input row for every channel.
-      int64_t InRow = Row + Kr;
-      for (int64_t Ch = 0; Ch < S.C; ++Ch) {
-        const float *IRow = PD + (Ch * Hp + InRow) * Wp;
-        for (int64_t Tile = 0; Tile < Tw; ++Tile) {
-          const float *D = IRow + Tile * M1;
-          for (int64_t I = 0; I < N; ++I) {
-            float Acc = 0.0f;
-            for (int64_t A = 0; A < N; ++A)
-              Acc += T.BT[I * N + A] * D[A];
-            V[(I * S.C + Ch) * Tw + Tile] = Acc;
-          }
-        }
-      }
-      // Pointwise stage for this kernel row.
-      for (int64_t Freq = 0; Freq < N; ++Freq)
-        runFreqGemm(Cfg.TileBlock,
-                    U.data() + ((Kr * N + Freq) * S.M) * S.C,
-                    V.data() + Freq * S.C * Tw,
-                    Mrow.data() + Freq * S.M * Tw, S.M, S.C, Tw);
-    }
-    // Inverse transform: y = A^T mvec per (filter, tile).
-    for (int64_t F = 0; F < S.M; ++F) {
-      float *ORow = OD + (F * Ho + Row) * Wo;
-      for (int64_t Tile = 0; Tile < Tw; ++Tile) {
-        for (int64_t I = 0; I < M1; ++I) {
-          int64_t Col = Tile * M1 + I;
-          if (Col >= Wo)
-            break;
-          float Acc = 0.0f;
-          for (int64_t A = 0; A < N; ++A)
-            Acc += T.AT[I * N + A] * Mrow[(A * S.M + F) * Tw + Tile];
-          ORow[Col] = Acc;
-        }
-      }
-    }
-  }
-}
 
 void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
                          const RunContext &Ctx) {
@@ -389,22 +430,33 @@ void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
   }
   float *OD = Target->data();
 
+  // Row chunks, one per worker. A row's arithmetic does not depend on the
+  // chunk or block it falls in, so every chunking gives the same bits.
+  int64_t NumChunks = 1;
   if (Pool && Pool->numThreads() > 1) {
     int64_t MaxW = Ctx.MaxThreads > 0
                        ? Ctx.MaxThreads
                        : static_cast<int64_t>(Pool->numThreads());
-    int64_t NumChunks = std::min<int64_t>(
+    NumChunks = std::min<int64_t>(
         std::min<int64_t>(Pool->numThreads(), MaxW), Ho);
-    int64_t ChunkSize = ceilDiv(Ho, NumChunks);
-    Pool->parallelFor(0, NumChunks, [&](int64_t Chunk) {
-      int64_t Begin = Chunk * ChunkSize;
-      int64_t End = std::min(Ho, Begin + ChunkSize);
-      if (Begin < End)
-        runRowRange(PaddedScratch.data(), Hp, Wp, OD, Begin, End);
-    });
-  } else {
-    runRowRange(PaddedScratch.data(), Hp, Wp, OD, 0, Ho);
   }
+  const int64_t ChunkSize = ceilDiv(Ho, NumChunks);
+  if (Scratch.size() < static_cast<size_t>(NumChunks))
+    Scratch.resize(static_cast<size_t>(NumChunks));
+  auto RunChunk = [&](int64_t Chunk) {
+    int64_t Begin = Chunk * ChunkSize;
+    int64_t End = std::min(Ho, Begin + ChunkSize);
+    if (Begin >= End)
+      return;
+    const float *U = PK->U.data(), *PD = PaddedScratch.data();
+    if (Cfg.TileBlock == 8)
+      runRowBlocks<8>(PK->T, S, U, PD, Hp, Wp, OD, Begin, End,
+                      Scratch[static_cast<size_t>(Chunk)]);
+    else
+      runRowBlocks<4>(PK->T, S, U, PD, Hp, Wp, OD, Begin, End,
+                      Scratch[static_cast<size_t>(Chunk)]);
+  };
+  forEach(Ctx, NumChunks, RunChunk);
 
   if (Target != &Out)
     runTransform(*Target, Out);

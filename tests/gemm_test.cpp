@@ -147,6 +147,24 @@ TEST(Gemv, MatchesGemmColumn) {
                 1e-4f);
 }
 
+TEST(Gemv, ThreadedMatchesSingle) {
+  // K = 16 * 12 + 5: whole lane chunks plus a tail.
+  const int64_t M = 37, K = 197;
+  std::vector<float> A = randomVec(static_cast<size_t>(M * K), 12);
+  std::vector<float> X = randomVec(static_cast<size_t>(K), 13);
+  std::vector<float> Y1(static_cast<size_t>(M), 0.0f);
+  std::vector<float> Y2 = Y1;
+  sgemv(M, K, A.data(), X.data(), Y1.data(), false);
+  ThreadPool Pool(3);
+  sgemv(M, K, A.data(), X.data(), Y2.data(), false, &Pool);
+  EXPECT_EQ(Y1, Y2); // one worker per row, fixed lane order: bitwise equal
+  std::vector<float> Zero(static_cast<size_t>(M), 0.0f);
+  std::vector<float> Want = referenceGemm(M, 1, K, A, X, Zero, false);
+  for (int64_t I = 0; I < M; ++I)
+    ASSERT_NEAR(Y1[static_cast<size_t>(I)], Want[static_cast<size_t>(I)],
+                1e-4f);
+}
+
 TEST(Gemv, AccumulateMode) {
   const int64_t M = 4, K = 3;
   std::vector<float> A(static_cast<size_t>(M * K), 1.0f);

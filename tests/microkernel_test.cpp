@@ -5,7 +5,8 @@
 // directly on packed panels, and through sgemm on edge-tile shapes (M, N, K
 // not multiples of the register block, including 1x1 and K=1). The packed
 // path's numerical contract -- bitwise identity across worker counts and
-// partitionings -- is asserted per tier.
+// partitionings, and under the transposed orientation sgemm picks for
+// narrow products -- is asserted per tier.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 using namespace primsel;
@@ -179,6 +181,75 @@ TEST_P(MicroKernelAllTiers, BitIdenticalAcrossWorkerCounts) {
           << simdTierName(MK.Tier) << " MaxThreads=" << MaxThreads << " at "
           << I;
   }
+}
+
+// Orientation: sgemm may run a narrow product as C^T = B^T A^T. Whichever
+// grid it picks, C must equal, byte for byte, the transpose of sgemm on the
+// transposed problem (one of the two runs narrow-N, the other narrow-M),
+// with and without accumulation, into a strided C, on 1 and 4 workers; and
+// it must leave C's row padding alone.
+TEST_P(MicroKernelAllTiers, OrientationNeverChangesBits) {
+  TierOverrideGuard Guard;
+  setSimdTierOverride(GetParam());
+  const MicroKernel &MK = activeMicroKernel();
+  const int64_t MR = MK.MR, NR = MK.NR;
+  const float Sentinel = 12345.0f;
+
+  struct Case {
+    int64_t M, N;
+  };
+  const Case Cases[] = {{24 * MR + 1, 2}, {2, 24 * NR + 5}, {5 * MR + 3, 3}};
+  ThreadPool Pool(4);
+  for (const Case &Sz : Cases)
+    for (int64_t K : {int64_t(17), int64_t(300)}) {
+      const int64_t M = Sz.M, N = Sz.N, LdC = N + 3, LdCt = M + 5;
+      std::vector<float> A = randomVec(static_cast<size_t>(M * K), 40 + K);
+      std::vector<float> B = randomVec(static_cast<size_t>(K * N), 50 + K);
+      std::vector<float> At(A.size()), Bt(B.size());
+      for (int64_t I = 0; I < M; ++I)
+        for (int64_t P = 0; P < K; ++P)
+          At[static_cast<size_t>(P * M + I)] = A[static_cast<size_t>(I * K + P)];
+      for (int64_t P = 0; P < K; ++P)
+        for (int64_t J = 0; J < N; ++J)
+          Bt[static_cast<size_t>(J * K + P)] = B[static_cast<size_t>(P * N + J)];
+      std::vector<float> CInit = randomVec(static_cast<size_t>(M * N), 60);
+
+      for (bool Accumulate : {false, true})
+        for (ThreadPool *P : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+          std::vector<float> C(static_cast<size_t>(M * LdC), Sentinel);
+          std::vector<float> Ct(static_cast<size_t>(N * LdCt), Sentinel);
+          for (int64_t I = 0; I < M; ++I)
+            for (int64_t J = 0; J < N; ++J) {
+              float V = CInit[static_cast<size_t>(I * N + J)];
+              C[static_cast<size_t>(I * LdC + J)] = V;
+              Ct[static_cast<size_t>(J * LdCt + I)] = V;
+            }
+          sgemm(GemmVariant::Blocked, M, N, K, A.data(), B.data(), C.data(),
+                LdC, Accumulate, P);
+          sgemm(GemmVariant::Blocked, N, M, K, Bt.data(), At.data(),
+                Ct.data(), LdCt, Accumulate, P);
+
+          std::vector<float> Want =
+              referenceGemm(M, N, K, A, B, CInit, Accumulate);
+          const float Tol = 1e-4f * static_cast<float>(K);
+          for (int64_t I = 0; I < M; ++I) {
+            for (int64_t J = 0; J < N; ++J) {
+              float Got = C[static_cast<size_t>(I * LdC + J)];
+              float Tr = Ct[static_cast<size_t>(J * LdCt + I)];
+              ASSERT_EQ(std::memcmp(&Got, &Tr, sizeof(float)), 0)
+                  << simdTierName(MK.Tier) << " " << M << "x" << N << "x" << K
+                  << " acc=" << Accumulate << " pool=" << (P != nullptr)
+                  << " at (" << I << ", " << J << ")";
+              ASSERT_NEAR(Got, Want[static_cast<size_t>(I * N + J)], Tol);
+            }
+            for (int64_t J = N; J < LdC; ++J)
+              ASSERT_EQ(C[static_cast<size_t>(I * LdC + J)], Sentinel);
+          }
+          for (int64_t J = 0; J < N; ++J)
+            for (int64_t I = M; I < LdCt; ++I)
+              ASSERT_EQ(Ct[static_cast<size_t>(J * LdCt + I)], Sentinel);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, MicroKernelAllTiers,

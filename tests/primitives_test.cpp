@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 using namespace primsel;
@@ -73,6 +74,12 @@ float toleranceFor(const ConvScenario &S, ConvFamily F) {
   return 10.0f * Base;
 }
 
+bool sameBytes(const Tensor3D &A, const Tensor3D &B) {
+  return A.sameShape(B) && A.layout() == B.layout() &&
+         std::memcmp(A.data(), B.data(),
+                     static_cast<size_t>(A.size()) * sizeof(float)) == 0;
+}
+
 class PrimitiveSweep
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
 
@@ -127,10 +134,9 @@ TEST_P(PrimitiveSweep, MultithreadedMatchesSingleThreaded) {
   Tensor3D OutMT(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
   Inst->run(In, OutMT, Multi);
 
-  // Same arithmetic partitioned differently; allow rounding-level drift.
-  EXPECT_LE(maxAbsDifference(OutST, OutMT),
-            toleranceFor(S, P.family()))
-      << P.name();
+  // Same arithmetic partitioned differently: every routine promises
+  // bit-identical outputs whatever the thread count.
+  EXPECT_TRUE(sameBytes(OutST, OutMT)) << P.name();
 }
 
 std::string sweepName(
@@ -150,6 +156,65 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0u, static_cast<unsigned>(fullLibrary().size())),
         ::testing::Range(0u,
                          static_cast<unsigned>(sweepScenarios().size()))),
+    sweepName);
+
+/// Zoo-scale shapes the sweep's scenarios miss: many channels over few
+/// tiles (the pointwise GEMMs' K spans two KC slabs), many tiles, and an
+/// output width that is no multiple of m over more rows than one 1D row
+/// block.
+const std::vector<ConvScenario> &winogradZooScenarios() {
+  static const std::vector<ConvScenario> Scenarios = {
+      {512, 7, 7, 1, 3, 512, 1}, // vgg conv4 at scale 0.25: 4 m4 tiles
+      {64, 56, 56, 1, 3, 64, 1}, // resnet18 layer1: 196 m4 tiles
+      {24, 13, 11, 1, 3, 40, 1}, // 13 x 11 output
+  };
+  return Scenarios;
+}
+
+/// Library indices of every K = 3 Winograd variant.
+std::vector<unsigned> k3WinogradIds() {
+  std::vector<unsigned> Ids;
+  const ConvScenario Probe{8, 12, 12, 1, 3, 8, 1};
+  for (PrimitiveId Id : fullLibrary().supporting(Probe, ConvFamily::Winograd))
+    Ids.push_back(static_cast<unsigned>(Id));
+  return Ids;
+}
+
+class WinogradZooShapes
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+TEST_P(WinogradZooShapes, MatchesReferenceAndThreadCounts) {
+  auto [PrimIdx, ScenIdx] = GetParam();
+  const ConvPrimitive &P = fullLibrary().get(PrimIdx);
+  const ConvScenario &S = winogradZooScenarios()[ScenIdx];
+  ASSERT_TRUE(P.supports(S)) << P.name();
+
+  Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
+  InCHW.fillRandom(101);
+  Kernel4D W(S.M, S.C, S.K);
+  W.fillRandom(202);
+  Tensor3D In = convertToLayout(InCHW, P.inputLayout());
+  std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
+
+  Tensor3D OutST(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+  RunContext Single{nullptr};
+  Inst->run(In, OutST, Single);
+  EXPECT_LE(maxAbsDifference(referenceOutput(S), OutST),
+            toleranceFor(S, ConvFamily::Winograd))
+      << P.name() << " on " << S.key();
+
+  ThreadPool Pool(3);
+  RunContext Multi{&Pool};
+  Tensor3D OutMT(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+  Inst->run(In, OutMT, Multi);
+  EXPECT_TRUE(sameBytes(OutST, OutMT)) << P.name() << " on " << S.key();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    K3VariantsZooScenarios, WinogradZooShapes,
+    ::testing::Combine(::testing::ValuesIn(k3WinogradIds()),
+                       ::testing::Range(0u, static_cast<unsigned>(
+                                                winogradZooScenarios().size()))),
     sweepName);
 
 TEST(Registry, LibraryHasMoreThan70Primitives) {
