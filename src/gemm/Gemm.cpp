@@ -7,7 +7,9 @@
 // MicroKernel.h) computes each C tile from the panels. Work is split across
 // the pool with a deterministic getRange partition of the larger tile
 // dimension; the pack buffers are thread-local and reused across calls, so
-// the serving hot path allocates nothing after warm-up.
+// the serving hot path allocates nothing after warm-up. A PackedOperand
+// supplies one operand's panels ready-made (a primitive's weights, packed
+// at prepare), and the macro-kernel then packs only the other one.
 //
 // A product whose N side is narrower than its M side, in padded register
 // tiles, runs transposed (C^T = B^T A^T) on the same micro-kernel, so a
@@ -70,11 +72,6 @@ void gemmRowNaive(int64_t I, int64_t N, int64_t K, const float *A,
 //===----------------------------------------------------------------------===//
 // Packed macro-kernel path
 //===----------------------------------------------------------------------===//
-
-/// K-dimension cache block. Fixed (never shrunk to fit a machine) because it
-/// is part of the numerical contract: partial sums round to float at KC
-/// boundaries.
-constexpr int64_t KC = 256;
 
 /// Per-thread pack scratch, grown on demand and reused across sgemm calls.
 struct PackScratch {
@@ -158,6 +155,19 @@ int64_t paddedArea(int64_t Rows, int64_t Cols, int MR, int NR) {
   return (Rows + MR - 1) / MR * MR * ((Cols + NR - 1) / NR * NR);
 }
 
+/// The orientation rule, shared by packing and running: C^T = B^T A^T runs
+/// the same products on an N x M tile grid, with B packed as the MR-wide
+/// panels and A as the NR-wide ones. A 4-column product fills 4 of an
+/// NR = 32 tile's columns but 4 of an MR = 8 tile's rows. Every transposed
+/// tile is stored through the temp, which costs about NR k-steps of the
+/// kernel per tile and K block, so take that grid only when it pads to
+/// fewer elements by more than that.
+bool runsTransposed(int64_t M, int64_t N, int64_t K, const MicroKernel &MK) {
+  const int64_t KcMax = std::min(K, GemmKC);
+  return paddedArea(N, M, MK.MR, MK.NR) * (KcMax + MK.NR) <
+         paddedArea(M, N, MK.MR, MK.NR) * KcMax;
+}
+
 /// Run the micro-kernel on one tile of the kernel-orientation grid (Rows x
 /// Cols; C itself when !Swap, C^T when Swap). Edge tiles and every swapped
 /// tile go through a stack temp, so the kernel always sees a full MR x NR
@@ -203,23 +213,27 @@ void runTile(const MicroKernel &MK, int64_t Kc, const float *APanel,
   }
 }
 
+/// The packed path. \p Pre, when set, is operand A (if Pre->side() is A)
+/// or B supplied as prepared panels; the matching raw pointer is unused.
+/// The tier and orientation are then the prepared operand's own.
 void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
-                const float *A, const float *B, float *C, int64_t LdC,
-                bool Accumulate, ThreadPool *Pool, int MaxThreads) {
-  const MicroKernel &MK = activeMicroKernel();
+                const float *A, const float *B, const PackedOperand *Pre,
+                float *C, int64_t LdC, bool Accumulate, ThreadPool *Pool,
+                int MaxThreads) {
+  const MicroKernel &MK =
+      Pre ? microKernelFor(Pre->tier()) : activeMicroKernel();
   const int MR = MK.MR, NR = MK.NR;
-  // Orientation: C^T = B^T A^T runs the same products on an N x M tile grid,
-  // with B packed as the MR-wide panels and A as the NR-wide ones. A
-  // 4-column product fills 4 of an NR = 32 tile's columns but 4 of an
-  // MR = 8 tile's rows. Every transposed tile is stored through the temp,
-  // which costs about NR k-steps of the kernel per tile and K block, so
-  // take that grid only when it pads to fewer elements by more than that.
-  const int64_t KcMax = std::min(K, KC);
-  const bool Swap = paddedArea(N, M, MR, NR) * (KcMax + NR) <
-                    paddedArea(M, N, MR, NR) * KcMax;
+  const int64_t KcMax = std::min(K, GemmKC);
+  const bool Swap = Pre ? Pre->transposed() : runsTransposed(M, N, K, MK);
   const int64_t Rows = Swap ? N : M, Cols = Swap ? M : N;
   const int64_t MTiles = (Rows + MR - 1) / MR;
   const int64_t NTiles = (Cols + NR - 1) / NR;
+  // Which grid side (MR-wide row panels or NR-wide column panels) comes
+  // prepared: operand A feeds the rows unless the grid is transposed.
+  const bool RowsPrepared = Pre && (Pre->side() == GemmSide::A) != Swap;
+  const bool ColsPrepared = Pre && !RowsPrepared;
+  assert((!Pre || Pre->width() == (RowsPrepared ? MR : NR)) &&
+         "prepared panels of another width");
   // Partition the dimension with more register tiles; conv GEMMs typically
   // have a short M (output channels) and a long N (output pixels). The
   // choice only redistributes work -- it never changes any element's math.
@@ -236,14 +250,24 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
   }
 
   PackScratch &S = packScratch();
-  ensureCapacity(S.A, static_cast<size_t>(MTiles * MR * KcMax));
-  ensureCapacity(S.B, static_cast<size_t>(NTiles * NR * KcMax));
+  if (!RowsPrepared)
+    ensureCapacity(S.A, static_cast<size_t>(MTiles * MR * KcMax));
+  if (!ColsPrepared)
+    ensureCapacity(S.B, static_cast<size_t>(NTiles * NR * KcMax));
   float *APack = S.A.data();
   float *BPack = S.B.data();
 
-  for (int64_t Pc = 0; Pc < K; Pc += KC) {
-    const int64_t Kc = std::min(KC, K - Pc);
+  for (int64_t Pc = 0; Pc < K; Pc += GemmKC) {
+    const int64_t Kc = std::min(GemmKC, K - Pc);
     const bool AccumBlock = Accumulate || Pc > 0;
+    // Panel bases of this K block: prepared panels sit Pc * paddedLanes
+    // into the operand, Kc * width apart; scratch panels KcMax * width.
+    const float *PreBlock = Pre ? Pre->data() + Pc * (Pre->floats() / K)
+                                : nullptr;
+    const float *ARows = RowsPrepared ? PreBlock : APack;
+    const float *BCols = ColsPrepared ? PreBlock : BPack;
+    const int64_t AStride = (RowsPrepared ? Kc : KcMax) * MR;
+    const int64_t BStride = (ColsPrepared ? Kc : KcMax) * NR;
 
     // A W-wide panel of the caller's A (rows from I0) or B (columns from J0).
     auto PackOfA = [&](int64_t I0, int Width, float *Panel) {
@@ -256,8 +280,10 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
         packColsPanel(B, N, J0, Width, Pc, Kc, Panel);
     };
     auto PackARange = [&](int64_t TB, int64_t TE) {
+      if (RowsPrepared)
+        return;
       for (int64_t It = TB; It < TE; ++It) {
-        float *Panel = APack + It * KcMax * MR;
+        float *Panel = APack + It * AStride;
         if (Swap)
           PackOfB(It * MR, MR, Panel);
         else
@@ -265,8 +291,10 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
       }
     };
     auto PackBRange = [&](int64_t TB, int64_t TE) {
+      if (ColsPrepared)
+        return;
       for (int64_t Jt = TB; Jt < TE; ++Jt) {
-        float *Panel = BPack + Jt * KcMax * NR;
+        float *Panel = BPack + Jt * BStride;
         if (Swap)
           PackOfA(Jt * NR, NR, Panel);
         else
@@ -282,8 +310,8 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
         int64_t It1 = std::min(It0 + MCTiles, IE);
         for (int64_t Jt = JB; Jt < JE; ++Jt)
           for (int64_t It = It0; It < It1; ++It)
-            runTile(MK, Kc, APack + It * KcMax * MR, BPack + Jt * KcMax * NR,
-                    C, LdC, Rows, Cols, It * MR, Jt * NR, Swap, AccumBlock);
+            runTile(MK, Kc, ARows + It * AStride, BCols + Jt * BStride, C,
+                    LdC, Rows, Cols, It * MR, Jt * NR, Swap, AccumBlock);
       }
     };
 
@@ -295,13 +323,14 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
     }
 
     if (SplitN) {
-      // Shared operand A is packed cooperatively first; each worker then
-      // packs and consumes its own j-tile slice.
-      Pool->parallelFor(0, W, [&](int64_t Slot) {
-        int64_t TB, TE;
-        getRange(MTiles, W, Slot, TB, TE);
-        PackARange(TB, TE);
-      });
+      // Shared operand A is packed cooperatively first (unless prepared);
+      // each worker then packs and consumes its own j-tile slice.
+      if (!RowsPrepared)
+        Pool->parallelFor(0, W, [&](int64_t Slot) {
+          int64_t TB, TE;
+          getRange(MTiles, W, Slot, TB, TE);
+          PackARange(TB, TE);
+        });
       Pool->parallelFor(0, W, [&](int64_t Slot) {
         int64_t JB, JE;
         getRange(NTiles, W, Slot, JB, JE);
@@ -309,11 +338,12 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
         Compute(0, MTiles, JB, JE);
       });
     } else {
-      Pool->parallelFor(0, W, [&](int64_t Slot) {
-        int64_t TB, TE;
-        getRange(NTiles, W, Slot, TB, TE);
-        PackBRange(TB, TE);
-      });
+      if (!ColsPrepared)
+        Pool->parallelFor(0, W, [&](int64_t Slot) {
+          int64_t TB, TE;
+          getRange(NTiles, W, Slot, TB, TE);
+          PackBRange(TB, TE);
+        });
       Pool->parallelFor(0, W, [&](int64_t Slot) {
         int64_t IB, IE;
         getRange(MTiles, W, Slot, IB, IE);
@@ -324,25 +354,32 @@ void packedGemm(bool BTransposed, int64_t M, int64_t N, int64_t K,
   }
 }
 
+/// sgemm's degenerate shapes: true (after zeroing C unless accumulating)
+/// when there is nothing to multiply.
+bool trivialProduct(int64_t M, int64_t N, int64_t K, float *C, int64_t LdC,
+                    bool Accumulate) {
+  assert(M >= 0 && N >= 0 && K >= 0 && "negative GEMM dimensions");
+  assert(LdC >= N && "C row stride shorter than row");
+  if (M == 0 || N == 0)
+    return true;
+  if (K != 0)
+    return false;
+  if (!Accumulate)
+    for (int64_t I = 0; I < M; ++I)
+      std::memset(C + I * LdC, 0, static_cast<size_t>(N) * sizeof(float));
+  return true;
+}
+
 } // namespace
 
 void primsel::sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,
                     const float *A, const float *B, float *C, int64_t LdC,
                     bool Accumulate, ThreadPool *Pool, int MaxThreads) {
-  assert(M >= 0 && N >= 0 && K >= 0 && "negative GEMM dimensions");
-  assert(LdC >= N && "C row stride shorter than row");
-  if (M == 0 || N == 0)
+  if (trivialProduct(M, N, K, C, LdC, Accumulate))
     return;
-  if (K == 0) {
-    if (!Accumulate)
-      for (int64_t I = 0; I < M; ++I)
-        std::memset(C + I * LdC, 0, static_cast<size_t>(N) * sizeof(float));
-    return;
-  }
-
   if (Variant != GemmVariant::Naive) {
-    packedGemm(Variant == GemmVariant::TransposedB, M, N, K, A, B, C, LdC,
-               Accumulate, Pool, MaxThreads);
+    packedGemm(Variant == GemmVariant::TransposedB, M, N, K, A, B, nullptr, C,
+               LdC, Accumulate, Pool, MaxThreads);
     return;
   }
 
@@ -358,6 +395,45 @@ void primsel::sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,
   }
   for (int64_t I = 0; I < M; ++I)
     RunRow(I);
+}
+
+PackedOperand::PackedOperand(GemmSide Side, int64_t M, int64_t N, int64_t K)
+    : Lanes(Side == GemmSide::A ? M : N), K(K), Side(Side) {
+  const MicroKernel &MK = activeMicroKernel();
+  Tier = MK.Tier;
+  Swap = runsTransposed(M, N, K, MK);
+  Width = (Side == GemmSide::A) != Swap ? MK.MR : MK.NR;
+}
+
+PackedOperands::PackedOperands(const PackedOperand &Geometry, int64_t Count)
+    : Storage(Geometry.floats() * static_cast<size_t>(Count)),
+      Ops(static_cast<size_t>(Count), Geometry) {
+  for (size_t I = 0; I < Ops.size(); ++I)
+    Ops[I].place(Storage.data() + I * Geometry.floats());
+}
+
+void primsel::sgemm(GemmVariant Variant, int64_t M, int64_t N, int64_t K,
+                    const PackedOperand &A, const float *B, float *C,
+                    int64_t LdC, bool Accumulate, ThreadPool *Pool,
+                    int MaxThreads) {
+  assert(Variant != GemmVariant::Naive && "naive GEMM reads no panels");
+  assert(A.side() == GemmSide::A && A.lanes() == M && A.depth() == K &&
+         "operand packed for another shape");
+  if (trivialProduct(M, N, K, C, LdC, Accumulate))
+    return;
+  packedGemm(Variant == GemmVariant::TransposedB, M, N, K, nullptr, B, &A, C,
+             LdC, Accumulate, Pool, MaxThreads);
+}
+
+void primsel::sgemm(int64_t M, int64_t N, int64_t K, const float *A,
+                    const PackedOperand &B, float *C, int64_t LdC,
+                    bool Accumulate, ThreadPool *Pool, int MaxThreads) {
+  assert(B.side() == GemmSide::B && B.lanes() == N && B.depth() == K &&
+         "operand packed for another shape");
+  if (trivialProduct(M, N, K, C, LdC, Accumulate))
+    return;
+  packedGemm(/*BTransposed=*/false, M, N, K, A, nullptr, &B, C, LdC,
+             Accumulate, Pool, MaxThreads);
 }
 
 void primsel::sgemv(int64_t M, int64_t K, const float *A, const float *X,

@@ -239,7 +239,10 @@ void DepthwiseInstance::run(const Tensor3D &In, Tensor3D &Out,
     RunChunk(0, Extent);
     return;
   }
-  int64_t NumChunks = std::min<int64_t>(Pool->numThreads(), Extent);
+  int64_t Workers = Pool->numThreads();
+  if (Ctx.MaxThreads > 0)
+    Workers = std::min<int64_t>(Workers, Ctx.MaxThreads);
+  int64_t NumChunks = std::min<int64_t>(Workers, Extent);
   int64_t ChunkSize = (Extent + NumChunks - 1) / NumChunks;
   Pool->parallelFor(0, NumChunks, [&](int64_t Chunk) {
     int64_t Begin = Chunk * ChunkSize;

@@ -23,7 +23,6 @@
 
 #include "fft/FFT.h"
 #include "primitives/Reference.h"
-#include "support/ThreadPool.h"
 #include "tensor/Transform.h"
 
 #include <cassert>
@@ -126,7 +125,6 @@ void FFTConvInstance::run(const Tensor3D &In, Tensor3D &Out,
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
   const int64_t Hp = S.paddedHeight(), Wp = S.paddedWidth();
   const int64_t F = FFTSize;
-  ThreadPool *Pool = Ctx.Pool;
 
   // Zero-margin CHW copy (converts from HWC input if needed).
   Tensor3D P(S.C, Hp, Wp, Layout::CHW);
@@ -151,11 +149,7 @@ void FFTConvInstance::run(const Tensor3D &In, Tensor3D &Out,
     auto ForwardRow = [&](int64_t R) {
       XSpec[R] = realFFT(P.data() + (Ch * Hp + R) * Wp, Wp, F);
     };
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(0, Hp, ForwardRow);
-    else
-      for (int64_t R = 0; R < Hp; ++R)
-        ForwardRow(R);
+    forEachIndex(Ctx, Hp, ForwardRow);
 
     // Kernel-row spectra for this channel (streaming variant only).
     if (!Cfg.CachedKernels) {
@@ -164,11 +158,7 @@ void FFTConvInstance::run(const Tensor3D &In, Tensor3D &Out,
           ChannelKSpec[FIdx * S.K + Kr] =
               prepareTapSpectrum(tapRow(FIdx, Ch, Kr), S.K, F);
       };
-      if (Pool && Pool->numThreads() > 1)
-        Pool->parallelFor(0, S.M, KernelRow);
-      else
-        for (int64_t FIdx = 0; FIdx < S.M; ++FIdx)
-          KernelRow(FIdx);
+      forEachIndex(Ctx, S.M, KernelRow);
     }
 
     // Accumulate pointwise products into the output row spectra.
@@ -185,11 +175,7 @@ void FFTConvInstance::run(const Tensor3D &In, Tensor3D &Out,
         }
       }
     };
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(0, S.M, Accumulate);
-    else
-      for (int64_t FIdx = 0; FIdx < S.M; ++FIdx)
-        Accumulate(FIdx);
+    forEachIndex(Ctx, S.M, Accumulate);
   }
 
   // Inverse FFT per (filter, output row); valid correlation outputs start
@@ -211,11 +197,7 @@ void FFTConvInstance::run(const Tensor3D &In, Tensor3D &Out,
         ORow[Col] = YRow[static_cast<size_t>(Col + S.K - 1)].real();
     }
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.M, InverseFilter);
-  else
-    for (int64_t FIdx = 0; FIdx < S.M; ++FIdx)
-      InverseFilter(FIdx);
+  forEachIndex(Ctx, S.M, InverseFilter);
 
   if (Target != &Out)
     runTransform(*Target, Out);

@@ -24,7 +24,6 @@
 #include "gemm/Gemm.h"
 #include "primitives/Reference.h"
 #include "support/AlignedBuffer.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <cstring>
@@ -35,29 +34,6 @@ namespace {
 
 constexpr const char *HwcLibraryTag = "hwcnn";
 
-/// Weights flattened to a (K*K*C) x M row-major matrix whose row index is
-/// (kh*K + kw)*C + c -- the same order an HWC im2row patch row uses, so the
-/// GEMM streams both operands. When \p Transposed, the M x (K*K*C) transpose
-/// is produced instead (for the TransposedB GEMM kernel).
-AlignedBuffer packWeightsKKCxM(const ConvScenario &S, const Kernel4D &W,
-                               bool Transposed) {
-  int64_t Rows = S.K * S.K * S.C;
-  AlignedBuffer Packed(static_cast<size_t>(Rows * S.M));
-  for (int64_t Kr = 0; Kr < S.K; ++Kr)
-    for (int64_t Kc = 0; Kc < S.K; ++Kc)
-      for (int64_t C = 0; C < S.C; ++C) {
-        int64_t Row = (Kr * S.K + Kc) * S.C + C;
-        for (int64_t F = 0; F < S.M; ++F) {
-          float V = W.at(F, C, Kr, Kc);
-          if (Transposed)
-            Packed[F * Rows + Row] = V;
-          else
-            Packed[Row * S.M + F] = V;
-        }
-      }
-  return Packed;
-}
-
 /// Common legality for every hwcnn routine: dense kernels and a
 /// non-degenerate output plane.
 bool hwcSupportsCommon(const ConvScenario &S) {
@@ -65,16 +41,58 @@ bool hwcSupportsCommon(const ConvScenario &S) {
          S.outHeight() >= 1 && S.outWidth() >= 1;
 }
 
-/// Weight-side artifact shared by every hwcnn routine: the (K*K*C) x M
-/// kernel matrix (or its transpose for the TransposedB GEMM kernel).
-struct HwcPrepared : PreparedKernel {
-  HwcPrepared(const ConvScenario &S, const Kernel4D &Weights, bool Transposed)
-      : PackedW(packWeightsKKCxM(S, Weights, Transposed)) {}
+/// Weight element (f, row) of the (K*K*C) x M kernel matrix whose row index
+/// is (kh*K + kw)*C + c -- the order an HWC im2row patch row uses, so the
+/// GEMM streams both operands.
+float kkcElem(const ConvScenario &S, const Kernel4D &W, int64_t F,
+              int64_t Row) {
+  const int64_t C = Row % S.C, Pos = Row / S.C;
+  return W.data()[(F * S.C + C) * S.K * S.K + Pos];
+}
 
-  size_t bytes() const override { return PackedW.size() * sizeof(float); }
+/// Weight-side artifact of the GEMM routines: the (K*K*C) x M kernel
+/// matrix as operand B of the (Ho*Wo) x M x (K*K*C) product, in the
+/// micro-kernel's panels. Packed, it is the same panels whether the
+/// variant passes it plain or transposed.
+struct HwcGemmPrepared : PreparedKernel {
+  HwcGemmPrepared(const ConvScenario &S, const Kernel4D &Weights)
+      : Panels(PackedOperand(GemmSide::B, S.outHeight() * S.outWidth(), S.M,
+                             S.K * S.K * S.C),
+               1) {
+    Panels[0].fill([&](int64_t F, int64_t Row) {
+      return kkcElem(S, Weights, F, Row);
+    });
+  }
 
-  AlignedBuffer PackedW;
+  size_t bytes() const override { return Panels.bytes(); }
+
+  PackedOperands Panels;
 };
+
+/// Weight-side artifact of hwcnn-direct, which reads no panels: the
+/// (K*K*C) x M kernel matrix, row-major.
+struct HwcFlatPrepared : PreparedKernel {
+  HwcFlatPrepared(const ConvScenario &S, const Kernel4D &Weights)
+      : W(static_cast<size_t>(S.K * S.K * S.C * S.M)) {
+    for (int64_t Row = 0; Row < S.K * S.K * S.C; ++Row)
+      for (int64_t F = 0; F < S.M; ++F)
+        W[Row * S.M + F] = kkcElem(S, Weights, F, Row);
+  }
+
+  size_t bytes() const override { return W.size() * sizeof(float); }
+
+  AlignedBuffer W;
+};
+
+/// \p In with its padding folded in: \p In itself when \p Pad is 0,
+/// otherwise \p Scratch refilled (reallocated only when its shape changed).
+const Tensor3D &paddedInput(const Tensor3D &In, int64_t Pad,
+                            Tensor3D &Scratch) {
+  if (Pad == 0)
+    return In;
+  makePaddedInputInto(In, Pad, Layout::HWC, Scratch);
+  return Scratch;
+}
 
 //===----------------------------------------------------------------------===//
 // hwcnn-im2row: patch matrix + GEMM, HWC -> HWC
@@ -82,9 +100,9 @@ struct HwcPrepared : PreparedKernel {
 
 class HwcIm2RowInstance : public ConvInstance {
 public:
-  HwcIm2RowInstance(GemmVariant Variant, const ConvScenario &S,
-                    std::shared_ptr<const HwcPrepared> PK)
-      : Variant(Variant), S(S), PK(std::move(PK)),
+  HwcIm2RowInstance(const ConvScenario &S,
+                    std::shared_ptr<const HwcGemmPrepared> PK)
+      : S(S), PK(std::move(PK)),
         Patches(static_cast<size_t>(S.outHeight() * S.outWidth() * S.K *
                                     S.K * S.C)) {}
 
@@ -93,18 +111,13 @@ public:
            "hwcnn-im2row operates on HWC tensors");
     // Fold padding into a padded copy once; afterwards every patch segment
     // is an in-bounds contiguous K*C-float memcpy.
-    const Tensor3D *Src = &In;
-    Tensor3D Padded;
-    if (S.Pad > 0) {
-      Padded = makePaddedInput(In, S.Pad, Layout::HWC);
-      Src = &Padded;
-    }
+    const Tensor3D &Src = paddedInput(In, S.Pad, Padded);
     int64_t Ho = S.outHeight(), Wo = S.outWidth();
     int64_t SegLen = S.K * S.C;          // one kh row of a patch
     int64_t PatchLen = S.K * SegLen;     // full patch row length
-    const float *Base = Src->data();
-    int64_t RowStride = Src->stride(Dim::H);
-    int64_t ColStride = Src->stride(Dim::W);
+    const float *Base = Src.data();
+    int64_t RowStride = Src.stride(Dim::H);
+    int64_t ColStride = Src.stride(Dim::W);
 
     auto FillRow = [&](int64_t P) {
       int64_t OutRow = P / Wo, OutCol = P % Wo;
@@ -115,23 +128,18 @@ public:
                     Base + (TopRow + Kr) * RowStride + LeftCol * ColStride,
                     static_cast<size_t>(SegLen) * sizeof(float));
     };
-    if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
-      Ctx.Pool->parallelFor(0, Ho * Wo, FillRow);
-    else
-      for (int64_t P = 0; P < Ho * Wo; ++P)
-        FillRow(P);
+    forEachIndex(Ctx, Ho * Wo, FillRow);
 
     // (Ho*Wo x KKC) * (KKC x M) writes the HWC output tensor directly.
-    sgemm(Variant, Ho * Wo, S.M, PatchLen, Patches.data(),
-          PK->PackedW.data(), Out.data(), S.M, /*Accumulate=*/false,
-          Ctx.Pool);
+    sgemm(Ho * Wo, S.M, PatchLen, Patches.data(), PK->Panels[0], Out.data(),
+          S.M, /*Accumulate=*/false, Ctx.Pool, Ctx.MaxThreads);
   }
 
 private:
-  GemmVariant Variant;
   ConvScenario S;
-  std::shared_ptr<const HwcPrepared> PK;
+  std::shared_ptr<const HwcGemmPrepared> PK;
   AlignedBuffer Patches; ///< per-instance run scratch
+  Tensor3D Padded;       ///< reused padded input copy
 };
 
 class HwcIm2RowPrimitive : public ConvPrimitive {
@@ -163,18 +171,17 @@ public:
 
   std::shared_ptr<const PreparedKernel>
   prepare(const ConvScenario &S, const Kernel4D &Weights) const override {
-    return std::make_shared<HwcPrepared>(S, Weights,
-                                         Variant == GemmVariant::TransposedB);
+    return std::make_shared<HwcGemmPrepared>(S, Weights);
   }
 
   std::unique_ptr<ConvInstance>
   bind(const ConvScenario &S,
        std::shared_ptr<const PreparedKernel> Prepared) const override {
-    assert(dynamic_cast<const HwcPrepared *>(Prepared.get()) &&
+    assert(dynamic_cast<const HwcGemmPrepared *>(Prepared.get()) &&
            "bind() requires a kernel from this primitive's prepare()");
     return std::make_unique<HwcIm2RowInstance>(
-        Variant, S,
-        std::static_pointer_cast<const HwcPrepared>(std::move(Prepared)));
+        S, std::static_pointer_cast<const HwcGemmPrepared>(
+               std::move(Prepared)));
   }
 
 private:
@@ -187,19 +194,20 @@ private:
 
 class HwcPointwiseInstance : public ConvInstance {
 public:
-  HwcPointwiseInstance(GemmVariant Variant, const ConvScenario &S,
-                       std::shared_ptr<const HwcPrepared> PK)
-      : Variant(Variant), S(S), PK(std::move(PK)) {}
+  HwcPointwiseInstance(const ConvScenario &S,
+                       std::shared_ptr<const HwcGemmPrepared> PK)
+      : S(S), PK(std::move(PK)),
+        Gathered(S.Stride != 1
+                     ? static_cast<size_t>(S.outHeight() * S.outWidth() * S.C)
+                     : 0) {}
 
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override {
     assert(In.layout() == Layout::HWC && Out.layout() == Layout::HWC &&
            "hwcnn-pointwise operates on HWC tensors");
     int64_t Ho = S.outHeight(), Wo = S.outWidth();
     const float *A = In.data();
-    AlignedBuffer Gathered;
     if (S.Stride != 1) {
       // Gather the strided sample grid into a dense (Ho*Wo) x C matrix.
-      Gathered = AlignedBuffer(static_cast<size_t>(Ho * Wo * S.C));
       int64_t RowStride = In.stride(Dim::H), ColStride = In.stride(Dim::W);
       for (int64_t R = 0; R < Ho; ++R)
         for (int64_t Col = 0; Col < Wo; ++Col)
@@ -210,14 +218,14 @@ public:
       A = Gathered.data();
     }
     // (Ho*Wo x C) * (C x M); the result is the HWC output verbatim.
-    sgemm(Variant, Ho * Wo, S.M, S.C, A, PK->PackedW.data(), Out.data(),
-          S.M, /*Accumulate=*/false, Ctx.Pool);
+    sgemm(Ho * Wo, S.M, S.C, A, PK->Panels[0], Out.data(), S.M,
+          /*Accumulate=*/false, Ctx.Pool, Ctx.MaxThreads);
   }
 
 private:
-  GemmVariant Variant;
   ConvScenario S;
-  std::shared_ptr<const HwcPrepared> PK;
+  std::shared_ptr<const HwcGemmPrepared> PK;
+  AlignedBuffer Gathered; ///< per-instance strided-gather scratch
 };
 
 class HwcPointwisePrimitive : public ConvPrimitive {
@@ -247,18 +255,17 @@ public:
 
   std::shared_ptr<const PreparedKernel>
   prepare(const ConvScenario &S, const Kernel4D &Weights) const override {
-    return std::make_shared<HwcPrepared>(S, Weights,
-                                         Variant == GemmVariant::TransposedB);
+    return std::make_shared<HwcGemmPrepared>(S, Weights);
   }
 
   std::unique_ptr<ConvInstance>
   bind(const ConvScenario &S,
        std::shared_ptr<const PreparedKernel> Prepared) const override {
-    assert(dynamic_cast<const HwcPrepared *>(Prepared.get()) &&
+    assert(dynamic_cast<const HwcGemmPrepared *>(Prepared.get()) &&
            "bind() requires a kernel from this primitive's prepare()");
     return std::make_unique<HwcPointwiseInstance>(
-        Variant, S,
-        std::static_pointer_cast<const HwcPrepared>(std::move(Prepared)));
+        S, std::static_pointer_cast<const HwcGemmPrepared>(
+               std::move(Prepared)));
   }
 
 private:
@@ -272,21 +279,16 @@ private:
 class HwcDirectInstance : public ConvInstance {
 public:
   HwcDirectInstance(const ConvScenario &S,
-                    std::shared_ptr<const HwcPrepared> PK)
+                    std::shared_ptr<const HwcFlatPrepared> PK)
       : S(S), PK(std::move(PK)) {}
 
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override {
     assert(In.layout() == Layout::HWC && Out.layout() == Layout::HWC &&
            "hwcnn-direct operates on HWC tensors");
-    const Tensor3D *Src = &In;
-    Tensor3D Padded;
-    if (S.Pad > 0) {
-      Padded = makePaddedInput(In, S.Pad, Layout::HWC);
-      Src = &Padded;
-    }
+    const Tensor3D &Src = paddedInput(In, S.Pad, Padded);
     int64_t Ho = S.outHeight(), Wo = S.outWidth();
-    const float *Base = Src->data();
-    int64_t RowStride = Src->stride(Dim::H), ColStride = Src->stride(Dim::W);
+    const float *Base = Src.data();
+    int64_t RowStride = Src.stride(Dim::H), ColStride = Src.stride(Dim::W);
     float *OutBase = Out.data();
 
     auto RunRow = [&](int64_t OutRow) {
@@ -298,7 +300,7 @@ public:
         for (int64_t Kr = 0; Kr < S.K; ++Kr) {
           const float *InSeg =
               Base + (TopRow + Kr) * RowStride + LeftCol * ColStride;
-          const float *WSeg = PK->PackedW.data() + Kr * S.K * S.C * S.M;
+          const float *WSeg = PK->W.data() + Kr * S.K * S.C * S.M;
           // The inner pair streams S.K*S.C input floats against the
           // matching weight rows, writing all M outputs of this pixel.
           for (int64_t I = 0; I < S.K * S.C; ++I) {
@@ -310,16 +312,13 @@ public:
         }
       }
     };
-    if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
-      Ctx.Pool->parallelFor(0, Ho, RunRow);
-    else
-      for (int64_t R = 0; R < Ho; ++R)
-        RunRow(R);
+    forEachIndex(Ctx, Ho, RunRow);
   }
 
 private:
   ConvScenario S;
-  std::shared_ptr<const HwcPrepared> PK;
+  std::shared_ptr<const HwcFlatPrepared> PK;
+  Tensor3D Padded; ///< reused padded input copy
 };
 
 class HwcDirectPrimitive : public ConvPrimitive {
@@ -343,16 +342,17 @@ public:
 
   std::shared_ptr<const PreparedKernel>
   prepare(const ConvScenario &S, const Kernel4D &Weights) const override {
-    return std::make_shared<HwcPrepared>(S, Weights, /*Transposed=*/false);
+    return std::make_shared<HwcFlatPrepared>(S, Weights);
   }
 
   std::unique_ptr<ConvInstance>
   bind(const ConvScenario &S,
        std::shared_ptr<const PreparedKernel> Prepared) const override {
-    assert(dynamic_cast<const HwcPrepared *>(Prepared.get()) &&
+    assert(dynamic_cast<const HwcFlatPrepared *>(Prepared.get()) &&
            "bind() requires a kernel from this primitive's prepare()");
     return std::make_unique<HwcDirectInstance>(
-        S, std::static_pointer_cast<const HwcPrepared>(std::move(Prepared)));
+        S, std::static_pointer_cast<const HwcFlatPrepared>(
+               std::move(Prepared)));
   }
 };
 

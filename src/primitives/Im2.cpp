@@ -36,38 +36,54 @@ struct Im2Config {
   const char *Name;
 };
 
-/// Weight-side artifact: the kernel matrix flattened for the GEMM operand
-/// order the configured variant consumes.
+/// Weight-side artifact: the kernel matrix as the GEMM operand the
+/// configured variant consumes. The packed variants hold it as the
+/// micro-kernel's panels -- operand A for im2col, B for im2row, whose
+/// element order ([kr][kc][c]) matches the patch rows -- the naive ones,
+/// which read no panels, as a flat matrix.
 struct Im2Prepared : PreparedKernel {
   Im2Prepared(const Im2Config &Cfg, const ConvScenario &S,
-              const Kernel4D &Weights)
-      : PackedW(static_cast<size_t>(Weights.size())) {
+              const Kernel4D &Weights) {
+    const int64_t K = S.K, C = S.C, M = S.M;
+    const int64_t PatchLen = C * K * K, Pixels = S.outHeight() * S.outWidth();
+    const float *WD = Weights.data();
+    // MCKK storage: element (f, c, kr, kc) at f * PatchLen + c * K*K + kr*K + kc.
+    auto RowElem = [&](int64_t F, int64_t P) {
+      const int64_t Ch = P % C, Pos = P / C;
+      return WD[F * PatchLen + Ch * K * K + Pos];
+    };
+    if (Cfg.Gemm != GemmVariant::Naive) {
+      if (!Cfg.RowMajorPatches) {
+        // im2col: A = kernel matrix [M][C*K*K]; MCKK storage is that matrix.
+        Panels = PackedOperands(
+            PackedOperand(GemmSide::A, M, Pixels, PatchLen), 1);
+        Panels[0].fill(
+            [&](int64_t F, int64_t P) { return WD[F * PatchLen + P]; });
+      } else {
+        Panels = PackedOperands(
+            PackedOperand(GemmSide::B, Pixels, M, PatchLen), 1);
+        Panels[0].fill(RowElem);
+      }
+      return;
+    }
+    Flat.reset(static_cast<size_t>(Weights.size()));
     if (!Cfg.RowMajorPatches) {
-      // im2col: A = kernel matrix [M][C*K*K]; MCKK storage is already flat.
-      std::memcpy(PackedW.data(), Weights.data(),
+      std::memcpy(Flat.data(), WD,
                   static_cast<size_t>(Weights.size()) * sizeof(float));
       return;
     }
-    // im2row: patches are rows ordered [kr][kc][c]. The kernel operand is
-    // either B = [C*K*K][M] (plain GEMM) or B^T = [M][C*K*K] (TransposedB),
-    // both with the matching [kr][kc][c] element order.
-    const int64_t K = S.K, C = S.C, M = S.M;
-    for (int64_t Kr = 0; Kr < K; ++Kr)
-      for (int64_t Kc = 0; Kc < K; ++Kc)
-        for (int64_t Ch = 0; Ch < C; ++Ch)
-          for (int64_t F = 0; F < M; ++F) {
-            int64_t Flat = (Kr * K + Kc) * C + Ch;
-            float V = Weights.at(F, Ch, Kr, Kc);
-            if (Cfg.Gemm == GemmVariant::TransposedB)
-              PackedW[F * (C * K * K) + Flat] = V;
-            else
-              PackedW[Flat * M + F] = V;
-          }
+    // im2row: B = [C*K*K][M] in the patch rows' [kr][kc][c] order.
+    for (int64_t P = 0; P < PatchLen; ++P)
+      for (int64_t F = 0; F < M; ++F)
+        Flat[P * M + F] = RowElem(F, P);
   }
 
-  size_t bytes() const override { return PackedW.size() * sizeof(float); }
+  size_t bytes() const override {
+    return Flat.size() * sizeof(float) + Panels.bytes();
+  }
 
-  AlignedBuffer PackedW;
+  AlignedBuffer Flat;    ///< naive variants: the kernel matrix
+  PackedOperands Panels; ///< packed variants: one operand
 };
 
 class Im2Instance : public ConvInstance {
@@ -81,8 +97,8 @@ public:
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override;
 
 private:
-  void buildColPatches(const Tensor3D &In, ThreadPool *Pool, int MaxThreads);
-  void buildRowPatches(const Tensor3D &In, ThreadPool *Pool, int MaxThreads);
+  void buildColPatches(const Tensor3D &In, const RunContext &Ctx);
+  void buildRowPatches(const Tensor3D &In, const RunContext &Ctx);
 
   Im2Config Cfg;
   ConvScenario S;
@@ -93,8 +109,7 @@ private:
 
 /// im2col patch matrix: P[(c*K+kr)*K+kc][ho*Wo+wo], zero-filled where the
 /// receptive field leaves the input.
-void Im2Instance::buildColPatches(const Tensor3D &In, ThreadPool *Pool,
-                                  int MaxThreads) {
+void Im2Instance::buildColPatches(const Tensor3D &In, const RunContext &Ctx) {
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
   const int64_t PixelCount = Ho * Wo;
   const int64_t SC = In.stride(Dim::C), SH = In.stride(Dim::H),
@@ -121,16 +136,11 @@ void Im2Instance::buildColPatches(const Tensor3D &In, ThreadPool *Pool,
         }
       }
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, S.C, FillChannel, MaxThreads);
-  else
-    for (int64_t Ch = 0; Ch < S.C; ++Ch)
-      FillChannel(Ch);
+  forEachIndex(Ctx, S.C, FillChannel);
 }
 
 /// im2row patch matrix: R[ho*Wo+wo][(kr*K+kc)*C+c].
-void Im2Instance::buildRowPatches(const Tensor3D &In, ThreadPool *Pool,
-                                  int MaxThreads) {
+void Im2Instance::buildRowPatches(const Tensor3D &In, const RunContext &Ctx) {
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
   const int64_t PatchLen = S.K * S.K * S.C;
   const int64_t SC = In.stride(Dim::C), SH = In.stride(Dim::H),
@@ -161,11 +171,7 @@ void Im2Instance::buildRowPatches(const Tensor3D &In, ThreadPool *Pool,
       }
     }
   };
-  if (Pool && Pool->numThreads() > 1)
-    Pool->parallelFor(0, Ho, FillRow, MaxThreads);
-  else
-    for (int64_t R = 0; R < Ho; ++R)
-      FillRow(R);
+  forEachIndex(Ctx, Ho, FillRow);
 }
 
 void Im2Instance::run(const Tensor3D &In, Tensor3D &Out,
@@ -184,17 +190,27 @@ void Im2Instance::run(const Tensor3D &In, Tensor3D &Out,
 
   if (!Cfg.RowMajorPatches) {
     // Out[M][Ho*Wo] = Wmat[M][PatchLen] x P[PatchLen][Ho*Wo].
-    buildColPatches(In, Pool, Ctx.MaxThreads);
-    sgemm(Cfg.Gemm, S.M, Ho * Wo, PatchLen, PK->PackedW.data(),
-          Patches.data(), Target->data(), Ho * Wo, /*Accumulate=*/false,
-          Pool, Ctx.MaxThreads);
+    buildColPatches(In, Ctx);
+    if (Cfg.Gemm == GemmVariant::Naive)
+      sgemm(Cfg.Gemm, S.M, Ho * Wo, PatchLen, PK->Flat.data(),
+            Patches.data(), Target->data(), Ho * Wo, /*Accumulate=*/false,
+            Pool, Ctx.MaxThreads);
+    else
+      sgemm(Cfg.Gemm, S.M, Ho * Wo, PatchLen, PK->Panels[0], Patches.data(),
+            Target->data(), Ho * Wo, /*Accumulate=*/false, Pool,
+            Ctx.MaxThreads);
   } else {
-    // Out[Ho*Wo][M] = R[Ho*Wo][PatchLen] x Wmat[PatchLen][M] (or x B^T for
-    // the transposed-kernel variant).
-    buildRowPatches(In, Pool, Ctx.MaxThreads);
-    sgemm(Cfg.Gemm, Ho * Wo, S.M, PatchLen, Patches.data(),
-          PK->PackedW.data(), Target->data(), S.M, /*Accumulate=*/false,
-          Pool, Ctx.MaxThreads);
+    // Out[Ho*Wo][M] = R[Ho*Wo][PatchLen] x Wmat[PatchLen][M]. Packed, the
+    // kernel matrix is the same panels whether the variant passes it plain
+    // or transposed.
+    buildRowPatches(In, Ctx);
+    if (Cfg.Gemm == GemmVariant::Naive)
+      sgemm(Cfg.Gemm, Ho * Wo, S.M, PatchLen, Patches.data(),
+            PK->Flat.data(), Target->data(), S.M, /*Accumulate=*/false,
+            Pool, Ctx.MaxThreads);
+    else
+      sgemm(Ho * Wo, S.M, PatchLen, Patches.data(), PK->Panels[0],
+            Target->data(), S.M, /*Accumulate=*/false, Pool, Ctx.MaxThreads);
   }
 
   if (Target != &Out)

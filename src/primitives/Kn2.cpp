@@ -38,33 +38,38 @@ struct Kn2Config {
   const char *Name;
 };
 
-/// Weight-side artifact: the per-kernel-position weight slices in the
-/// operand order the configured GEMM variant consumes.
+/// Weight-side artifact: the per-kernel-position M x C weight slices as
+/// the micro-kernel's panels -- operand A of kn2row's per-position GEMMs
+/// (one K*K*M-lane operand for the full variant), operand B of kn2col's.
+/// Packed, a slice is the same panels whether the variant passes it plain
+/// or transposed.
 struct Kn2Prepared : PreparedKernel {
   Kn2Prepared(const Kn2Config &Cfg, const ConvScenario &S,
-              const Kernel4D &Weights)
-      : PackedW(static_cast<size_t>(Weights.size())) {
-    // Per-position kernel slices. kn2row wants [pos][M][C]; kn2col with a
-    // plain GEMM wants [pos][C][M]; kn2col with TransposedB reuses [M][C].
-    const int64_t K = S.K, C = S.C, M = S.M;
-    bool WantCM =
-        Cfg.ColVariant && Cfg.Gemm != GemmVariant::TransposedB;
-    for (int64_t Kr = 0; Kr < K; ++Kr)
-      for (int64_t Kc = 0; Kc < K; ++Kc)
-        for (int64_t F = 0; F < M; ++F)
-          for (int64_t Ch = 0; Ch < C; ++Ch) {
-            float V = Weights.at(F, Ch, Kr, Kc);
-            int64_t Pos = Kr * K + Kc;
-            if (WantCM)
-              PackedW[(Pos * C + Ch) * M + F] = V;
-            else
-              PackedW[(Pos * M + F) * C + Ch] = V;
-          }
+              const Kernel4D &Weights) {
+    const int64_t K = S.K, C = S.C, M = S.M, HW = S.H * S.W;
+    const float *WD = Weights.data();
+    // MCKK storage: element (f, c, pos) at (f * C + c) * K*K + pos.
+    if (!Cfg.ColVariant && !Cfg.Accumulating) {
+      Panels = PackedOperands(PackedOperand(GemmSide::A, K * K * M, HW, C), 1);
+      Panels[0].fill([&](int64_t Lane, int64_t Ch) {
+        const int64_t Pos = Lane / M, F = Lane % M;
+        return WD[(F * C + Ch) * K * K + Pos];
+      });
+      return;
+    }
+    const PackedOperand Slice =
+        Cfg.ColVariant ? PackedOperand(GemmSide::B, HW, M, C)
+                       : PackedOperand(GemmSide::A, M, HW, C);
+    Panels = PackedOperands(Slice, K * K);
+    for (int64_t Pos = 0; Pos < K * K; ++Pos)
+      Panels[static_cast<size_t>(Pos)].fill([&](int64_t F, int64_t Ch) {
+        return WD[(F * C + Ch) * K * K + Pos];
+      });
   }
 
-  size_t bytes() const override { return PackedW.size() * sizeof(float); }
+  size_t bytes() const override { return Panels.bytes(); }
 
-  AlignedBuffer PackedW;
+  PackedOperands Panels;
 };
 
 class Kn2Instance : public ConvInstance {
@@ -106,15 +111,15 @@ void Kn2Instance::run(const Tensor3D &In, Tensor3D &Out,
   float *OutData = Target->data();
 
   auto PositionGemm = [&](int64_t Pos, float *TempPos) {
-    const float *WPos = PK->PackedW.data() + Pos * S.M * S.C;
+    const PackedOperand &WPos = PK->Panels[static_cast<size_t>(Pos)];
     if (!Cfg.ColVariant) {
       // Temp[M][HW] = Wslice[M][C] x In[C][HW]. With TransposedB the input
       // is consumed directly in its HWC form as B^T = [HW][C].
       sgemm(Cfg.Gemm, S.M, HW, S.C, WPos, In.data(), TempPos, HW,
             /*Accumulate=*/false, Pool, Ctx.MaxThreads);
     } else {
-      // Temp[HW][M] = In_hwc[HW][C] x Wslice[C][M] (or x B^T = [M][C]).
-      sgemm(Cfg.Gemm, HW, S.M, S.C, In.data(), WPos, TempPos, S.M,
+      // Temp[HW][M] = In_hwc[HW][C] x Wslice[C][M].
+      sgemm(HW, S.M, S.C, In.data(), WPos, TempPos, S.M,
             /*Accumulate=*/false, Pool, Ctx.MaxThreads);
     }
   };
@@ -128,9 +133,8 @@ void Kn2Instance::run(const Tensor3D &In, Tensor3D &Out,
     // One big GEMM covering every kernel position, then sum shifted slices.
     // kn2row: [K*K*M][HW] = Wall[K*K*M][C] x In[C][HW]; kn2col analogous.
     if (!Cfg.ColVariant)
-      sgemm(Cfg.Gemm, S.K * S.K * S.M, HW, S.C, PK->PackedW.data(),
-            In.data(), Temp.data(), HW, /*Accumulate=*/false, Pool,
-            Ctx.MaxThreads);
+      sgemm(Cfg.Gemm, S.K * S.K * S.M, HW, S.C, PK->Panels[0], In.data(),
+            Temp.data(), HW, /*Accumulate=*/false, Pool, Ctx.MaxThreads);
     else
       for (int64_t Pos = 0; Pos < S.K * S.K; ++Pos)
         PositionGemm(Pos, Temp.data() + Pos * HW * S.M);

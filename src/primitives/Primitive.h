@@ -14,9 +14,11 @@
 /// into two phases so serving can pay the weight-side work exactly once:
 ///
 ///  - prepare(S, Weights) performs every weight re-packing or transformation
-///    (im2 kernel matrix flattening, Winograd U = G g G^T, FFT tap spectra,
-///    quantization tables, CSR compression) and returns an immutable
-///    PreparedKernel -- the artifact a CompiledNet ships with the model;
+///    (Winograd U = G g G^T, FFT tap spectra, quantization tables, CSR
+///    compression) and returns an immutable PreparedKernel -- the artifact
+///    a CompiledNet ships with the model. GEMM-backed routines store their
+///    weights as the active tier's packed sgemm panels (gemm::PackedOperand),
+///    so a request packs only its activations;
 ///  - bind(S, Prepared) produces a lightweight ConvInstance referencing the
 ///    shared PreparedKernel. Binding does no weight work, so any number of
 ///    concurrent serving contexts can bind their own instances (instances

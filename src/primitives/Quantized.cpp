@@ -25,7 +25,6 @@
 #include "primitives/Registry.h"
 
 #include "primitives/Reference.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -130,11 +129,7 @@ public:
           Y[(F * Ho + R) * Wo + Col] = static_cast<float>(Acc) * OutScale;
         }
     };
-    if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
-      Ctx.Pool->parallelFor(0, S.M, RunFilter);
-    else
-      for (int64_t F = 0; F < S.M; ++F)
-        RunFilter(F);
+    forEachIndex(Ctx, S.M, RunFilter);
   }
 
 private:
@@ -247,11 +242,7 @@ public:
         Y[P * S.M + F] = static_cast<float>(Acc) * OutScale;
       }
     };
-    if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
-      Ctx.Pool->parallelFor(0, Ho * Wo, RunRow);
-    else
-      for (int64_t P = 0; P < Ho * Wo; ++P)
-        RunRow(P);
+    forEachIndex(Ctx, Ho * Wo, RunRow);
   }
 
 private:

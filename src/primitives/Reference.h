@@ -15,6 +15,8 @@
 #define PRIMSEL_PRIMITIVES_REFERENCE_H
 
 #include "nn/Layer.h"
+#include "primitives/Primitive.h"
+#include "support/ThreadPool.h"
 #include "tensor/Tensor.h"
 
 namespace primsel {
@@ -46,6 +48,19 @@ Tensor3D makePaddedInput(const Tensor3D &In, int64_t Pad, Layout L);
 /// instance-held scratch tensor run after run.
 void makePaddedInputInto(const Tensor3D &In, int64_t Pad, Layout L,
                          Tensor3D &Dst);
+
+/// Run Body(I) for every I in [0, Count): spread over at most
+/// Ctx.MaxThreads workers of Ctx.Pool when it has workers, inline
+/// otherwise. The routines' one parallel loop, so each of them honours the
+/// plan's per-node thread cap.
+template <typename Fn>
+void forEachIndex(const RunContext &Ctx, int64_t Count, Fn Body) {
+  if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
+    Ctx.Pool->parallelFor(0, Count, Body, Ctx.MaxThreads);
+  else
+    for (int64_t I = 0; I < Count; ++I)
+      Body(I);
+}
 
 } // namespace primsel
 

@@ -26,7 +26,6 @@
 
 #include "primitives/Reference.h"
 #include "support/AlignedBuffer.h"
-#include "support/ThreadPool.h"
 #include "tensor/Transform.h"
 
 #include <cassert>
@@ -104,7 +103,6 @@ void SparseInstance::run(const Tensor3D &In, Tensor3D &Out,
                          const RunContext &Ctx) {
   const CompressedKernel &CK = PK->CK;
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
-  ThreadPool *Pool = Ctx.Pool;
 
   Tensor3D NativeOut;
   Tensor3D *Target = &Out;
@@ -140,11 +138,7 @@ void SparseInstance::run(const Tensor3D &In, Tensor3D &Out,
           }
         }
     };
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(0, S.C, FillChannel);
-    else
-      for (int64_t Ch = 0; Ch < S.C; ++Ch)
-        FillChannel(Ch);
+    forEachIndex(Ctx, S.C, FillChannel);
 
     // Sparse GEMM: Out[f] = sum over the filter's non-zeros of
     // value * P[position].
@@ -160,11 +154,7 @@ void SparseInstance::run(const Tensor3D &In, Tensor3D &Out,
           ORow[J] += V * PRow[J];
       }
     };
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(0, S.M, FilterRow);
-    else
-      for (int64_t F = 0; F < S.M; ++F)
-        FilterRow(F);
+    forEachIndex(Ctx, S.M, FilterRow);
   } else {
     // Direct variant on a padded input: one axpy over each output row per
     // non-zero weight.
@@ -201,11 +191,7 @@ void SparseInstance::run(const Tensor3D &In, Tensor3D &Out,
         }
       }
     };
-    if (Pool && Pool->numThreads() > 1)
-      Pool->parallelFor(0, S.M, FilterPass);
-    else
-      for (int64_t F = 0; F < S.M; ++F)
-        FilterPass(F);
+    forEachIndex(Ctx, S.M, FilterPass);
   }
 
   if (Target != &Out)

@@ -21,6 +21,7 @@
 #include "primitives/Registry.h"
 
 #include "gemm/Gemm.h"
+#include "primitives/Reference.h"
 #include "support/AlignedBuffer.h"
 #include "support/ThreadPool.h"
 #include "tensor/Transform.h"
@@ -75,17 +76,6 @@ void applyMatrix(const float *Mat, int64_t Out, int64_t In, int64_t Inner,
   }
 }
 
-/// Run Body(I) for I in [0, Count), spread over the pool when it has
-/// workers.
-template <typename Fn>
-void forEach(const RunContext &Ctx, int64_t Count, Fn Body) {
-  if (Ctx.Pool && Ctx.Pool->numThreads() > 1)
-    Ctx.Pool->parallelFor(0, Count, Body, Ctx.MaxThreads);
-  else
-    for (int64_t I = 0; I < Count; ++I)
-      Body(I);
-}
-
 /// Copy \p In into \p P, a zero-margined Hp x Wp CHW tensor with the image
 /// at offset (Pad, Pad). Reads go through logical strides, so an HWC input
 /// pays its gather cost here. P is only (re)allocated when its shape
@@ -114,56 +104,70 @@ void makeWinogradInputInto(const Tensor3D &In, int64_t Pad, int64_t Hp,
 }
 
 /// Weight-side artifact shared by both Winograd schedules: the Toom-Cook
-/// transform matrices and the transformed kernel U (U = G g G^T per
-/// frequency for 2D tiles, per kernel row for the 1D schedule).
+/// transform matrices and the transformed kernel U as the pointwise GEMMs'
+/// operand A, in the micro-kernel's panels. 2D: one M x C operand per
+/// frequency, U_freq[f][c] = (G g G^T)[i][j] for freq = i*N + j, packed
+/// for the M x C x Tiles product. 1D: one per (kernel row, frequency),
+/// U[kr*N + freq][f][c] = (G g_row)[freq], packed for a full RowBlock-row
+/// block. Every operand is a view into one allocation, written in one pass
+/// over (c, f) with f innermost.
 struct WinoPrepared : PreparedKernel {
   WinoPrepared(const WinoConfig &Cfg, const ConvScenario &S,
                const Kernel4D &Weights)
       : T(generateWinograd(Cfg.M, Cfg.R)) {
     const int64_t N = T.N, R = Cfg.R;
     assert(N <= MaxN && "tile larger than the transforms' block scratch");
-    if (Cfg.TwoD) {
-      U.reset(static_cast<size_t>(N * N * S.M * S.C));
-      // U[freq][f][c] = (G g G^T)[i][j] for freq = i*N + j.
-      std::vector<float> Tmp(static_cast<size_t>(N * R));
-      for (int64_t F = 0; F < S.M; ++F)
-        for (int64_t Ch = 0; Ch < S.C; ++Ch) {
-          // Tmp = G (N x R) * g (R x R).
-          for (int64_t I = 0; I < N; ++I)
-            for (int64_t B = 0; B < R; ++B) {
-              float Acc = 0.0f;
-              for (int64_t A = 0; A < R; ++A)
-                Acc += T.G[I * R + A] * Weights.at(F, Ch, A, B);
-              Tmp[I * R + B] = Acc;
-            }
-          // u[i][j] = sum_b Tmp[i][b] * G[j][b].
-          for (int64_t I = 0; I < N; ++I)
-            for (int64_t J = 0; J < N; ++J) {
-              float Acc = 0.0f;
-              for (int64_t B = 0; B < R; ++B)
-                Acc += Tmp[I * R + B] * T.G[J * R + B];
-              U[((I * N + J) * S.M + F) * S.C + Ch] = Acc;
-            }
+    const int64_t Ho = S.outHeight(), Wo = S.outWidth();
+    const int64_t Tw = ceilDiv(Wo, Cfg.M);
+    const PackedOperand Geometry =
+        Cfg.TwoD ? PackedOperand(GemmSide::A, S.M, ceilDiv(Ho, Cfg.M) * Tw,
+                                 S.C)
+                 : PackedOperand(GemmSide::A, S.M, RowBlock * Tw, S.C);
+    const int64_t Count = Cfg.TwoD ? N * N : R * N;
+    U = PackedOperands(Geometry, Count);
+    float *Base = U.data();
+    const int64_t Stride = static_cast<int64_t>(Geometry.floats());
+    float Tmp[MaxN * MaxN];
+    Geometry.forEachSlot([&](int64_t F, int64_t Ch, int64_t Off) {
+      float *Slot = Base + Off;
+      if (F >= S.M) {
+        for (int64_t I = 0; I < Count; ++I)
+          Slot[I * Stride] = 0.0f;
+        return;
+      }
+      if (!Cfg.TwoD) {
+        for (int64_t Kr = 0; Kr < R; ++Kr)
+          for (int64_t I = 0; I < N; ++I) {
+            float Acc = 0.0f;
+            for (int64_t A = 0; A < R; ++A)
+              Acc += T.G[I * R + A] * Weights.at(F, Ch, Kr, A);
+            Slot[(Kr * N + I) * Stride] = Acc;
+          }
+        return;
+      }
+      // Tmp = G (N x R) * g (R x R).
+      for (int64_t I = 0; I < N; ++I)
+        for (int64_t B = 0; B < R; ++B) {
+          float Acc = 0.0f;
+          for (int64_t A = 0; A < R; ++A)
+            Acc += T.G[I * R + A] * Weights.at(F, Ch, A, B);
+          Tmp[I * R + B] = Acc;
         }
-    } else {
-      // U1[kr][freq][f][c] = (G g_row)[freq].
-      U.reset(static_cast<size_t>(R * N * S.M * S.C));
-      for (int64_t Kr = 0; Kr < R; ++Kr)
-        for (int64_t F = 0; F < S.M; ++F)
-          for (int64_t Ch = 0; Ch < S.C; ++Ch)
-            for (int64_t I = 0; I < N; ++I) {
-              float Acc = 0.0f;
-              for (int64_t A = 0; A < R; ++A)
-                Acc += T.G[I * R + A] * Weights.at(F, Ch, Kr, A);
-              U[((Kr * N + I) * S.M + F) * S.C + Ch] = Acc;
-            }
-    }
+      // u[i][j] = sum_b Tmp[i][b] * G[j][b].
+      for (int64_t I = 0; I < N; ++I)
+        for (int64_t J = 0; J < N; ++J) {
+          float Acc = 0.0f;
+          for (int64_t B = 0; B < R; ++B)
+            Acc += Tmp[I * R + B] * T.G[J * R + B];
+          Slot[(I * N + J) * Stride] = Acc;
+        }
+    });
   }
 
-  size_t bytes() const override { return U.size() * sizeof(float); }
+  size_t bytes() const override { return U.bytes(); }
 
   WinogradTransform T;
-  AlignedBuffer U;
+  PackedOperands U;
 };
 
 /// 2D input transform of channel \p Ch: V[i*N + j][Ch][tile] =
@@ -249,7 +253,6 @@ private:
 void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
                          const RunContext &Ctx) {
   const WinogradTransform &T = PK->T;
-  const AlignedBuffer &U = PK->U;
   const int64_t N = T.N, M2 = Cfg.M;
   const int64_t Ho = S.outHeight(), Wo = S.outWidth();
   const int64_t Th = ceilDiv(Ho, M2), Tw = ceilDiv(Wo, M2);
@@ -265,7 +268,7 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
     Mo.reset(static_cast<size_t>(N * N * S.M * NumTiles));
 
   // Input transform: V[freq][c][tile] = (B^T d B)[i][j].
-  forEach(Ctx, S.C, [&](int64_t Ch) {
+  forEachIndex(Ctx, S.C, [&](int64_t Ch) {
     const float *Plane = PD + Ch * Hp * Wp;
     if (Cfg.TileBlock == 8)
       inputTransform2D<8>(T, Plane, Wp, Tw, NumTiles, S.C, Ch, V.data());
@@ -276,9 +279,9 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
   // Pointwise stage: Mo_f (M x Tiles) = U_f (M x C) * V_f (C x Tiles) per
   // frequency. Frequencies are spread over the pool and each sgemm runs on
   // one worker, so every MaxThreads gives the same bits.
-  forEach(Ctx, N * N, [&](int64_t Freq) {
+  forEachIndex(Ctx, N * N, [&](int64_t Freq) {
     sgemm(GemmVariant::Blocked, S.M, NumTiles, S.C,
-          U.data() + Freq * S.M * S.C, V.data() + Freq * S.C * NumTiles,
+          PK->U[static_cast<size_t>(Freq)], V.data() + Freq * S.C * NumTiles,
           Mo.data() + Freq * S.M * NumTiles, NumTiles,
           /*Accumulate=*/false);
   });
@@ -292,7 +295,7 @@ void Wino2DInstance::run(const Tensor3D &In, Tensor3D &Out,
     Target = &NativeScratch;
   }
   float *OD = Target->data();
-  forEach(Ctx, S.M, [&](int64_t F) {
+  forEachIndex(Ctx, S.M, [&](int64_t F) {
     float *Plane = OD + F * Ho * Wo;
     if (Cfg.TileBlock == 8)
       outputTransform2D<8>(T, Mo.data(), S.M, Tw, NumTiles, Ho, Wo, F, Plane);
@@ -318,7 +321,7 @@ struct RowBlockScratch {
 /// kr's operand.
 template <int TB>
 void runRowBlocks(const WinogradTransform &T, const ConvScenario &S,
-                  const float *U, const float *PD, int64_t Hp, int64_t Wp,
+                  const PackedOperands &U, const float *PD, int64_t Hp, int64_t Wp,
                   float *OD, int64_t RowBegin, int64_t RowEnd,
                   RowBlockScratch &Scr) {
   const int64_t N = T.N, M1 = T.M, R = T.R;
@@ -368,8 +371,9 @@ void runRowBlocks(const WinogradTransform &T, const ConvScenario &S,
     for (int64_t Freq = 0; Freq < N; ++Freq)
       for (int64_t Kr = 0; Kr < R; ++Kr)
         sgemm(GemmVariant::Blocked, S.M, Cols, S.C,
-              U + (Kr * N + Freq) * S.M * S.C, V + (Freq * R + Kr) * S.C * Cols,
-              Mo + Freq * S.M * Cols, Cols, /*Accumulate=*/Kr > 0);
+              U[static_cast<size_t>(Kr * N + Freq)],
+              V + (Freq * R + Kr) * S.C * Cols, Mo + Freq * S.M * Cols, Cols,
+              /*Accumulate=*/Kr > 0);
 
     // Output transform: y = A^T p per (filter, row, tile), clipped at the
     // right edge.
@@ -448,15 +452,15 @@ void Wino1DInstance::run(const Tensor3D &In, Tensor3D &Out,
     int64_t End = std::min(Ho, Begin + ChunkSize);
     if (Begin >= End)
       return;
-    const float *U = PK->U.data(), *PD = PaddedScratch.data();
+    const float *PD = PaddedScratch.data();
     if (Cfg.TileBlock == 8)
-      runRowBlocks<8>(PK->T, S, U, PD, Hp, Wp, OD, Begin, End,
+      runRowBlocks<8>(PK->T, S, PK->U, PD, Hp, Wp, OD, Begin, End,
                       Scratch[static_cast<size_t>(Chunk)]);
     else
-      runRowBlocks<4>(PK->T, S, U, PD, Hp, Wp, OD, Begin, End,
+      runRowBlocks<4>(PK->T, S, PK->U, PD, Hp, Wp, OD, Begin, End,
                       Scratch[static_cast<size_t>(Chunk)]);
   };
-  forEach(Ctx, NumChunks, RunChunk);
+  forEachIndex(Ctx, NumChunks, RunChunk);
 
   if (Target != &Out)
     runTransform(*Target, Out);

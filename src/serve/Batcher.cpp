@@ -22,6 +22,8 @@ const char *primsel::serve::serveStatusName(ServeStatus S) {
     return "cancelled";
   case ServeStatus::RejectedModelUnavailable:
     return "rejected-model-unavailable";
+  case ServeStatus::RejectedInvalidInput:
+    return "rejected-invalid-input";
   }
   return "unknown";
 }
@@ -67,6 +69,16 @@ Batcher::~Batcher() {
     completeRejected(R.Done, ServeStatus::RejectedShutdown, NowNs,
                      R.ArrivalNs);
   Clk.detachWaiter(WorkAvailable);
+}
+
+SubmitTicket primsel::serve::rejectedTicket(ServeStatus Status) {
+  SubmitTicket Ticket;
+  std::promise<ServeResponse> Done;
+  Ticket.Response = Done.get_future();
+  ServeResponse R;
+  R.Status = Status;
+  Done.set_value(std::move(R));
+  return Ticket;
 }
 
 SubmitTicket Batcher::submit(const Tensor3D &Input, TimeNs DeadlineNs) {

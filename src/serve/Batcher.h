@@ -66,6 +66,8 @@ enum class ServeStatus : uint8_t {
   Cancelled,         ///< cancel(Id) removed it while queued
   RejectedModelUnavailable, ///< fleet routing: no such model, or its
                             ///< artifact cannot fit the memory budget
+  RejectedInvalidInput,     ///< the input is not a CHW tensor of the
+                            ///< network's input shape
 };
 
 const char *serveStatusName(ServeStatus S);
@@ -161,6 +163,10 @@ struct SubmitTicket {
   uint64_t Id = 0;
   std::future<ServeResponse> Response;
 };
+
+/// A ticket (Id 0) already resolved with \p Status: for requests refused
+/// before they reach any queue.
+SubmitTicket rejectedTicket(ServeStatus Status);
 
 /// The synchronized batching queue. Thread-safe: any number of submitters
 /// and workers. Owns no threads.

@@ -358,14 +358,9 @@ SubmitTicket FleetServer::submit(const std::string &Model,
   auto It = Lanes.find(Model);
   if (It == Lanes.end()) {
     UnknownModel.fetch_add(1, std::memory_order_relaxed);
-    SubmitTicket Ticket;
-    std::promise<ServeResponse> Done;
-    Ticket.Response = Done.get_future();
-    ServeResponse R;
-    R.Status = ServeStatus::RejectedModelUnavailable;
-    Done.set_value(std::move(R));
-    return Ticket;
+    return rejectedTicket(ServeStatus::RejectedModelUnavailable);
   }
+  // The lane checks the input against the model's input shape.
   return It->second->submit(Input, DeadlineNs);
 }
 

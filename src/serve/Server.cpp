@@ -92,15 +92,30 @@ bool primsel::serve::executeBatchLadder(
   return true;
 }
 
+namespace {
+
+/// The shape of \p Net's input node.
+TensorShape inputShapeOf(const NetworkGraph &Net) {
+  for (const NetworkGraph::Node &N : Net.nodes())
+    if (N.L.Kind == LayerKind::Input)
+      return N.OutShape;
+  assert(false && "network without an input");
+  return {};
+}
+
+} // namespace
+
 Server::Server(std::shared_ptr<const CompiledNet> Compiled,
                const ServerOptions &Options, Clock &Clk)
-    : Net(std::move(Compiled)), Opts(Options), Queue(Options.Batch, Clk) {
+    : Net(std::move(Compiled)), InputShape(inputShapeOf(Net->graph())),
+      Opts(Options), Queue(Options.Batch, Clk) {
   startWorkers();
 }
 
 Server::Server(ModelRegistry &Registry, std::string Name,
                const ServerOptions &Options, Clock &Clk)
-    : Reg(&Registry), Model(std::move(Name)), Opts(Options),
+    : Reg(&Registry), Model(std::move(Name)),
+      InputShape(inputShapeOf(*Registry.graphOf(Model))), Opts(Options),
       Queue(Options.Batch, Clk) {
   assert(!Opts.Ladder && "a registry lane reads its ladder from the registry");
   startWorkers();
@@ -116,6 +131,14 @@ void Server::startWorkers() {
 Server::~Server() { shutdown(); }
 
 SubmitTicket Server::submit(const Tensor3D &Input, TimeNs DeadlineNs) {
+  // A wrong-shape input would trip the interpreter's assertions on a
+  // worker thread; refuse it here instead.
+  if (Input.layout() != Layout::CHW ||
+      !(TensorShape{Input.channels(), Input.height(), Input.width()} ==
+        InputShape)) {
+    InvalidInputs.fetch_add(1, std::memory_order_relaxed);
+    return rejectedTicket(ServeStatus::RejectedInvalidInput);
+  }
   return Queue.submit(Input, DeadlineNs);
 }
 
@@ -139,6 +162,7 @@ ServerStats Server::stats() const {
   S.FallbackBatches = FallbackBatches.load(std::memory_order_relaxed);
   S.UnavailableBatches = UnavailableBatches.load(std::memory_order_relaxed);
   S.UnavailableRequests = UnavailableRequests.load(std::memory_order_relaxed);
+  S.InvalidInputs = InvalidInputs.load(std::memory_order_relaxed);
   return S;
 }
 

@@ -147,6 +147,8 @@ struct ServerStats {
   /// their requests, all resolved RejectedModelUnavailable unexecuted.
   uint64_t UnavailableBatches = 0;
   uint64_t UnavailableRequests = 0;
+  /// Submits refused with RejectedInvalidInput (never queued).
+  uint64_t InvalidInputs = 0;
 };
 
 /// A running batched-inference server.
@@ -173,8 +175,9 @@ public:
 
   /// Submit one inference. Never blocks (admission control rejects when
   /// the queue is full). \p Input is borrowed until the future resolves;
-  /// it must be CHW with the network's input shape. \p DeadlineNs is an
-  /// absolute Clock timestamp (0 = none).
+  /// it must be CHW with the network's input shape, or the ticket resolves
+  /// at once with RejectedInvalidInput. \p DeadlineNs is an absolute Clock
+  /// timestamp (0 = none).
   SubmitTicket submit(const Tensor3D &Input, TimeNs DeadlineNs = 0);
 
   /// Cancel a queued request by ticket id.
@@ -199,6 +202,8 @@ private:
   /// A registry lane's source; null for a fixed-artifact server.
   ModelRegistry *Reg = nullptr;
   std::string Model;
+  /// The network's input shape; submit() refuses any other.
+  TensorShape InputShape;
   ServerOptions Opts;
   Batcher Queue;
 
@@ -209,6 +214,7 @@ private:
   std::atomic<uint64_t> FallbackBatches{0};
   std::atomic<uint64_t> UnavailableBatches{0};
   std::atomic<uint64_t> UnavailableRequests{0};
+  std::atomic<uint64_t> InvalidInputs{0};
 
   bool Stopped = false;
   std::mutex ShutdownMutex;

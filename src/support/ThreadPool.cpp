@@ -41,6 +41,7 @@ void ThreadPool::workerLoop(unsigned) {
     PendingTasks.pop_back();
     Lock.unlock();
     runChunk(T);
+    WorkerChunks.fetch_add(1, std::memory_order_relaxed);
     Lock.lock();
     assert(Outstanding > 0 && "chunk accounting out of sync");
     if (--Outstanding == 0)

@@ -14,6 +14,7 @@
 #ifndef PRIMSEL_SUPPORT_THREADPOOL_H
 #define PRIMSEL_SUPPORT_THREADPOOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -49,6 +50,12 @@ public:
                    const std::function<void(int64_t)> &Body,
                    int MaxWorkers = 0);
 
+  /// Chunks run so far by the spawned workers (not the caller thread): a
+  /// read-only probe that a capped loop never left the calling thread.
+  uint64_t workerChunks() const {
+    return WorkerChunks.load(std::memory_order_relaxed);
+  }
+
 private:
   struct Task {
     int64_t Begin = 0;
@@ -68,6 +75,7 @@ private:
   std::vector<Task> PendingTasks;
   unsigned Outstanding = 0;
   bool ShuttingDown = false;
+  std::atomic<uint64_t> WorkerChunks{0};
 };
 
 } // namespace primsel

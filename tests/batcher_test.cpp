@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -429,6 +430,43 @@ TEST(Server, DrainsAndMatchesSequentialExecutor) {
   }
   EXPECT_EQ(Srv.stats().RequestsExecuted, N);
   EXPECT_EQ(Srv.batcherStats().Admitted, N);
+}
+
+TEST(Server, WrongShapeInputIsRejectedNotExecuted) {
+  // A wrong-shape (or non-CHW) input resolves at once with
+  // RejectedInvalidInput and never reaches a worker, where it would trip
+  // the interpreter's shape assertion; the next valid request is served
+  // bit-identically.
+  PrimitiveLibrary Lib = buildFullLibrary();
+  AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
+  std::shared_ptr<const CompiledNet> CN = compileTiny(Lib, Prov);
+  ASSERT_NE(CN, nullptr);
+  const TensorShape &Sh = CN->graph().node(0).OutShape;
+  Tensor3D In(Sh.C, Sh.H, Sh.W, Layout::CHW);
+  In.fillRandom(47);
+  Executor Seq(CN->graph(), CN->plan(), Lib);
+  Seq.run(In);
+  Tensor3D Ref = Seq.networkOutput().clone();
+
+  Server Srv(CN, ServerOptions{});
+  Tensor3D Wrong(Sh.C + 1, Sh.H, Sh.W, Layout::CHW);
+  Wrong.fillRandom(48);
+  Tensor3D Hwc(Sh.C, Sh.H, Sh.W, Layout::HWC);
+  Hwc.fillRandom(49);
+  for (const Tensor3D *Bad : {&Wrong, &Hwc}) {
+    SubmitTicket T = Srv.submit(*Bad);
+    ASSERT_TRUE(isReady(T.Response));
+    EXPECT_EQ(T.Response.get().Status, ServeStatus::RejectedInvalidInput);
+  }
+  ServeResponse R = Srv.submit(In).Response.get();
+  ASSERT_TRUE(R.ok()) << serveStatusName(R.Status);
+  EXPECT_EQ(std::memcmp(R.Output.data(), Ref.data(),
+                        static_cast<size_t>(Ref.size()) * sizeof(float)),
+            0);
+  Srv.shutdown();
+  EXPECT_EQ(Srv.stats().InvalidInputs, 2u);
+  EXPECT_EQ(Srv.stats().RequestsExecuted, 1u);
+  EXPECT_EQ(Srv.batcherStats().Submitted, 1u);
 }
 
 TEST(Server, VirtualClockDrivesBatchWindow) {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -658,6 +659,39 @@ TEST(FleetLadder, LanesServeThroughBucketsBitIdentically) {
   EXPECT_EQ(LS.Exec.RequestsExecuted, N);
   EXPECT_GT(LS.Exec.BatchedBatches, 0u);
   EXPECT_EQ(LS.Exec.FallbackBatches, 0u);
+}
+
+TEST(FleetServer, WrongShapeInputIsRejectedNotExecuted) {
+  // A lane refuses an input that is not its model's input shape with
+  // RejectedInvalidInput, before any compile or batch; the next valid
+  // request to the same lane is served bit-identically.
+  FleetHarness H;
+  ModelRegistry Reg(*H.Eng);
+  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
+  ASSERT_TRUE(Reg.addModel("dag", tinyDag(16)));
+  Tensor3D In = inputFor(*Reg.graphOf("chain"), 71);
+  const TensorShape &Sh = Reg.graphOf("chain")->node(0).OutShape;
+  Tensor3D Wrong(Sh.C, Sh.H + 1, Sh.W, Layout::CHW);
+  Wrong.fillRandom(72);
+
+  FleetServer Srv(Reg, FleetOptions{});
+  SubmitTicket Bad = Srv.submit("chain", Wrong);
+  EXPECT_EQ(Bad.Response.get().Status, ServeStatus::RejectedInvalidInput);
+  EXPECT_EQ(Reg.stats().Compiles, 0u);
+  ServeResponse R = Srv.submit("chain", In).Response.get();
+  Srv.shutdown();
+  ASSERT_TRUE(R.ok()) << serveStatusName(R.Status);
+
+  std::shared_ptr<const CompiledNet> CN = Reg.acquire("chain");
+  ASSERT_NE(CN, nullptr);
+  Executor Seq(CN->graph(), CN->plan(), H.Lib);
+  Seq.run(In);
+  EXPECT_EQ(std::memcmp(R.Output.data(), Seq.networkOutput().data(),
+                        static_cast<size_t>(R.Output.size()) *
+                            sizeof(float)),
+            0);
+  EXPECT_EQ(Srv.laneStats("chain").Exec.InvalidInputs, 1u);
+  EXPECT_EQ(Srv.batcherStats("chain").Submitted, 1u);
 }
 
 } // namespace

@@ -252,12 +252,121 @@ TEST_P(MicroKernelAllTiers, OrientationNeverChangesBits) {
     }
 }
 
+// A prepared operand stands in for the raw one: for either side, with B
+// stored plainly or transposed, in both orientations (the scalar tier's
+// square tile has only one), K within one KC slab, filling it and spanning
+// two, lane counts off every tier's register widths, accumulating or not,
+// into a strided C, with no pool and on 4 workers, the product is byte for
+// byte sgemm's on the raw operand, and C's row padding stays untouched.
+TEST_P(MicroKernelAllTiers, PackedOperandMatchesSgemmBytes) {
+  TierOverrideGuard Guard;
+  setSimdTierOverride(GetParam());
+  const MicroKernel &MK = activeMicroKernel();
+  const float Sentinel = 12345.0f;
+  ThreadPool Pool(4);
+  bool Seen[2][2] = {}; // [side][transposed]
+
+  for (int64_t K : {int64_t(17), int64_t(256), int64_t(300)})
+    for (int64_t Lanes : {int64_t(13), int64_t(40)})
+      for (int64_t Other : {int64_t(3), int64_t(200)})
+        for (GemmSide Side : {GemmSide::A, GemmSide::B}) {
+          const int64_t M = Side == GemmSide::A ? Lanes : Other;
+          const int64_t N = Side == GemmSide::A ? Other : Lanes;
+          const int64_t LdC = N + 3;
+          std::vector<float> A = randomVec(static_cast<size_t>(M * K), 70 + K);
+          std::vector<float> B = randomVec(static_cast<size_t>(K * N), 80 + K);
+          std::vector<float> Bt(B.size());
+          for (int64_t P = 0; P < K; ++P)
+            for (int64_t J = 0; J < N; ++J)
+              Bt[static_cast<size_t>(J * K + P)] =
+                  B[static_cast<size_t>(P * N + J)];
+          std::vector<float> CInit =
+              randomVec(static_cast<size_t>(M * LdC), 90);
+          for (int64_t I = 0; I < M; ++I)
+            for (int64_t J = N; J < LdC; ++J)
+              CInit[static_cast<size_t>(I * LdC + J)] = Sentinel;
+
+          PackedOperand Op(Side, M, N, K);
+          EXPECT_EQ(Op.tier(), MK.Tier);
+          std::vector<float> Panels(Op.floats());
+          Op.place(Panels.data());
+          Seen[Side == GemmSide::B][Op.transposed()] = true;
+
+          for (GemmVariant V : {GemmVariant::Blocked, GemmVariant::TransposedB}) {
+            const bool Tb = V == GemmVariant::TransposedB;
+            // Operand B is packed from whichever storage the variant reads.
+            if (Side == GemmSide::A)
+              Op.fill([&](int64_t L, int64_t P) {
+                return A[static_cast<size_t>(L * K + P)];
+              });
+            else
+              Op.fill([&](int64_t L, int64_t P) {
+                return Tb ? Bt[static_cast<size_t>(L * K + P)]
+                          : B[static_cast<size_t>(P * N + L)];
+              });
+            const float *RawB = Tb ? Bt.data() : B.data();
+            for (bool Accumulate : {false, true})
+              for (ThreadPool *P : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+                std::vector<float> Want = CInit, Got = CInit;
+                sgemm(V, M, N, K, A.data(), RawB, Want.data(), LdC,
+                      Accumulate, P);
+                if (Side == GemmSide::A)
+                  sgemm(V, M, N, K, Op, RawB, Got.data(), LdC, Accumulate, P);
+                else
+                  sgemm(M, N, K, A.data(), Op, Got.data(), LdC, Accumulate,
+                        P);
+                ASSERT_EQ(std::memcmp(Got.data(), Want.data(),
+                                      Got.size() * sizeof(float)),
+                          0)
+                    << simdTierName(MK.Tier) << " side "
+                    << (Side == GemmSide::A ? "A " : "B ") << M << "x" << N
+                    << "x" << K << " " << gemmVariantName(V)
+                    << " transposed=" << Op.transposed()
+                    << " acc=" << Accumulate << " pool=" << (P != nullptr);
+              }
+          }
+        }
+  for (int Side = 0; Side < 2; ++Side) {
+    EXPECT_TRUE(Seen[Side][0]) << "side " << Side << " never ran upright";
+    if (MK.MR != MK.NR) {
+      EXPECT_TRUE(Seen[Side][1]) << "side " << Side << " never ran transposed";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, MicroKernelAllTiers,
                          ::testing::Values(SimdTier::Scalar, SimdTier::AVX2,
                                            SimdTier::AVX512),
                          [](const ::testing::TestParamInfo<SimdTier> &Info) {
                            return simdTierName(Info.param);
                          });
+
+// An operand records the tier it was packed for: packed at the best tier
+// the host runs, it still computes that tier's bytes after the process
+// drops to the scalar tier.
+TEST(PackedOperand, KeepsTheTierItWasPackedFor) {
+  TierOverrideGuard Guard;
+  const SimdTier Best = setSimdTierOverride(SimdTier::AVX512);
+  const int64_t M = 40, N = 13, K = 300;
+  std::vector<float> A = randomVec(static_cast<size_t>(M * K), 7);
+  std::vector<float> B = randomVec(static_cast<size_t>(K * N), 8);
+  std::vector<float> Want(static_cast<size_t>(M * N), 0.0f);
+  sgemm(GemmVariant::Blocked, M, N, K, A.data(), B.data(), Want.data(), N,
+        false);
+
+  PackedOperand Op(GemmSide::A, M, N, K);
+  std::vector<float> Panels(Op.floats());
+  Op.place(Panels.data());
+  Op.fill([&](int64_t L, int64_t P) { return A[static_cast<size_t>(L * K + P)]; });
+  ASSERT_EQ(Op.tier(), Best);
+
+  setSimdTierOverride(SimdTier::Scalar);
+  std::vector<float> Got(Want.size(), 0.0f);
+  sgemm(GemmVariant::Blocked, M, N, K, Op, B.data(), Got.data(), N, false);
+  EXPECT_EQ(std::memcmp(Got.data(), Want.data(), Got.size() * sizeof(float)),
+            0)
+      << "packed at " << simdTierName(Best);
+}
 
 TEST(MicroKernelDispatch, FallbackNeverExceedsRequestedTier) {
   for (SimdTier T : {SimdTier::Scalar, SimdTier::AVX2, SimdTier::AVX512})

@@ -217,6 +217,135 @@ INSTANTIATE_TEST_SUITE_P(
                                                 winogradZooScenarios().size()))),
     sweepName);
 
+/// The ensemble library (both vendors' routines) plus the q16 family: every
+/// routine whose run() draws on a pool.
+const PrimitiveLibrary &ensembleLibrary() {
+  static PrimitiveLibrary Lib = [] {
+    PrimitiveLibrary L = buildEnsembleLibrary();
+    registerQuantizedFamily(L);
+    return L;
+  }();
+  return Lib;
+}
+
+bool isGemmBacked(const ConvPrimitive &P) {
+  return P.family() == ConvFamily::Im2 || P.family() == ConvFamily::Kn2 ||
+         P.family() == ConvFamily::Winograd;
+}
+
+/// Shapes that stress the prepared weight panels: resnet18's layer4 (the
+/// GEMMs' K = 4608 spans 18 KC slabs, and the few output pixels run the
+/// products transposed), and an output that is no multiple of any tile
+/// over 40 filters (no multiple of any tier's register widths).
+const std::vector<ConvScenario> &panelScenarios() {
+  static const std::vector<ConvScenario> Scenarios = {
+      {512, 2, 2, 1, 3, 512, 1},
+      {24, 13, 11, 1, 3, 40, 1},
+  };
+  return Scenarios;
+}
+
+/// Ensemble-library ids of every GEMM-backed routine supporting the panel
+/// scenarios (all of them are 3 x 3, stride 1).
+std::vector<unsigned> gemmBackedIds() {
+  std::vector<unsigned> Ids;
+  const PrimitiveLibrary &Lib = ensembleLibrary();
+  for (PrimitiveId Id = 0; Id < Lib.size(); ++Id)
+    if (isGemmBacked(Lib.get(Id)) && Lib.get(Id).supports(panelScenarios()[0]))
+      Ids.push_back(static_cast<unsigned>(Id));
+  return Ids;
+}
+
+class GemmBackedPanels
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+TEST_P(GemmBackedPanels, MatchesReferenceAndThreadCounts) {
+  auto [PrimIdx, ScenIdx] = GetParam();
+  const ConvPrimitive &P = ensembleLibrary().get(PrimIdx);
+  const ConvScenario &S = panelScenarios()[ScenIdx];
+  ASSERT_TRUE(P.supports(S)) << P.name();
+
+  Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
+  InCHW.fillRandom(101);
+  Kernel4D W(S.M, S.C, S.K);
+  W.fillRandom(202);
+  Tensor3D In = convertToLayout(InCHW, P.inputLayout());
+  std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
+
+  Tensor3D OutST(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+  Inst->run(In, OutST, RunContext{nullptr});
+  EXPECT_LE(maxAbsDifference(referenceOutput(S), OutST),
+            toleranceFor(S, P.family()))
+      << P.name() << " on " << S.key();
+
+  ThreadPool Pool(3);
+  Tensor3D OutMT(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+  Inst->run(In, OutMT, RunContext{&Pool});
+  EXPECT_TRUE(sameBytes(OutST, OutMT)) << P.name() << " on " << S.key();
+}
+
+std::string ensembleName(
+    const ::testing::TestParamInfo<std::tuple<unsigned, unsigned>> &Info) {
+  auto [PrimIdx, ScenIdx] = Info.param;
+  std::string Name =
+      ensembleLibrary().get(PrimIdx).name() + "_s" + std::to_string(ScenIdx);
+  for (char &C : Name)
+    if (!isalnum(static_cast<unsigned char>(C)))
+      C = '_';
+  return Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Im2Kn2WinogradPanelScenarios, GemmBackedPanels,
+    ::testing::Combine(::testing::ValuesIn(gemmBackedIds()),
+                       ::testing::Range(0u, static_cast<unsigned>(
+                                                panelScenarios().size()))),
+    ensembleName);
+
+// RunContext::MaxThreads is the plan's per-node worker count: a routine
+// capped at 1 must run on the calling thread alone, whatever the pool, and
+// every cap gives the same bytes.
+TEST(ThreadCap, EveryRoutineHonoursMaxThreads) {
+  const PrimitiveLibrary &Lib = ensembleLibrary();
+  ConvScenario Depthwise{16, 12, 12, 1, 3, 16, 1};
+  Depthwise.Depthwise = true;
+  const ConvScenario Scenarios[] = {
+      {16, 12, 10, 1, 3, 24, 1}, // 3 x 3: im2, kn2, winograd, fft, direct
+      {8, 11, 11, 1, 5, 8, 2},   // 5 x 5
+      {8, 9, 9, 2, 1, 16, 0},    // strided 1 x 1: hwcnn-pointwise's gather
+      {12, 10, 10, 2, 3, 8, 1},  // strided 3 x 3
+      Depthwise,
+  };
+  ThreadPool Pool(4);
+  std::vector<bool> Ran(Lib.size(), false);
+  for (const ConvScenario &S : Scenarios)
+    for (PrimitiveId Id : Lib.supporting(S)) {
+      const ConvPrimitive &P = Lib.get(Id);
+      Ran[Id] = true;
+      Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
+      InCHW.fillRandom(303);
+      Kernel4D W(S.M, S.kernelChannels(), S.K);
+      W.fillRandom(404);
+      Tensor3D In = convertToLayout(InCHW, P.inputLayout());
+      std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
+
+      std::vector<Tensor3D> Outs;
+      for (int Cap : {1, 2, 0}) {
+        Outs.emplace_back(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
+        const uint64_t Before = Pool.workerChunks();
+        Inst->run(In, Outs.back(), RunContext{&Pool, Cap});
+        if (Cap == 1) {
+          EXPECT_EQ(Pool.workerChunks(), Before)
+              << P.name() << " on " << S.key() << " left the caller thread";
+        }
+      }
+      EXPECT_TRUE(sameBytes(Outs[0], Outs[1])) << P.name() << " on " << S.key();
+      EXPECT_TRUE(sameBytes(Outs[0], Outs[2])) << P.name() << " on " << S.key();
+    }
+  for (PrimitiveId Id = 0; Id < Lib.size(); ++Id)
+    EXPECT_TRUE(Ran[Id]) << Lib.get(Id).name() << " ran on no scenario";
+}
+
 TEST(Registry, LibraryHasMoreThan70Primitives) {
   // Paper abstract: "a library of more than 70 DNN primitives".
   EXPECT_GT(fullLibrary().size(), 70u);
