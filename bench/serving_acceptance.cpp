@@ -1,8 +1,8 @@
 //===- bench/serving_acceptance.cpp - Serving-stack acceptance bench ------===//
 //
 // One self-verifying bench for the serving claims built on the paper's
-// selection: warm plan-cache start, compile-once, JIT, dynamic batching,
-// the batch-bucket ladder and the multi-model fleet. Seven sections run in
+// selection: warm plan-cache start, compile-once, dynamic batching, the
+// batch-bucket ladder and the multi-model fleet. Six sections run in
 // order over shared fixtures -- serving-mode engines and artifacts,
 // sequential-Executor references, a sequential-capacity probe, and one
 // open-loop serve point that checks every response bit for bit -- and add
@@ -17,10 +17,6 @@
 //   compiled    resnet18, mobilenet, googlenet in serving mode: every plan
 //               selects transform-bearing primitives, the compiled steady
 //               state beats per-request instantiation, outputs identical.
-//   jit         the zoo models plus a dispatch-bound residual micro net:
-//               jit outputs identical, every object loaded, a warm object
-//               cache runs no compiler, jit beats the interpreter on >= 1
-//               row.
 //   open_loop   mobilenet, Poisson arrivals at 0.5-4x sequential capacity
 //               through the dynamic batcher: every response identical, and
 //               max-batch 4 out-sustains batch 1 at saturation.
@@ -40,8 +36,7 @@
 //
 // Environment knobs are the shared bench ones (bench/BenchCommon.h).
 // Plan-cache files land under PRIMSEL_CACHE/primsel-plan-cache-serving,
-// wiped at start so the cold solve is honest, and jit objects under
-// PRIMSEL_CACHE/jit_bench_objects.
+// wiped at start so the cold solve is honest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -522,121 +517,6 @@ void compiledSection(const BenchConfig &Config, const PrimitiveLibrary &Lib,
             "instantiation on every model");
   Rep.check("compiled.bit_identical", AllIdentical,
             "compiled outputs bit-identical to the cold executor");
-}
-
-//===----------------------------------------------------------------------===//
-// jit: the selected plan compiled to native code.
-//===----------------------------------------------------------------------===//
-
-/// Steady-state p50 over \p Iters requests on one warmed-up context.
-double steadyP50(ExecutionContext &Ctx, const Tensor3D &Input,
-                 unsigned Iters) {
-  Ctx.run(Input); // warm-up (first touch of arena pages / jit buffers)
-  std::vector<double> Latencies;
-  for (unsigned I = 0; I < Iters; ++I)
-    Latencies.push_back(Ctx.run(Input).TotalMillis);
-  return summarizeLatencies(Latencies).P50;
-}
-
-void jitSection(const BenchConfig &Config, const PrimitiveLibrary &Lib,
-                Report &Rep) {
-  struct Spec {
-    const char *Name;
-    NetworkGraph (*Build)(double);
-    double Scale;
-    bool Zoo; ///< counts toward the bit-identity claim
-    unsigned Iters;
-  };
-  // The micro row is dispatch-bound by construction: a deep residual DAG
-  // at 16x16 keeps every conv tiny, so per-step interpreter overhead (step
-  // dispatch, per-node timing, value-table indirection) is the latency the
-  // straight-line generated code deletes. Sub-millisecond requests get
-  // more iterations for a stable p50. (The zoo models clamp spatial
-  // extents at 32, so "a zoo model at a tiny scale" cannot produce this
-  // shape.)
-  const Spec Specs[] = {
-      {"alexnet", alexNet, Config.Scale, true, Config.Iters},
-      {"googlenet", googLeNet, Config.Scale, true, Config.Iters},
-      {"resnet18", resNet18, Config.Scale, true, Config.Iters},
-      {"mobilenet", mobileNet, Config.Scale, true, Config.Iters},
-      {"residual-micro",
-       +[](double) { return randomResidualNetwork(2026, 16, 4); }, 0.0,
-       false, std::max(Config.Iters, 50u)},
-  };
-  std::string ObjCache = Config.CacheDir + "/jit_bench_objects";
-  std::printf("# jit: objects cached in %s\n", ObjCache.c_str());
-
-  bool AllIdentical = true, AllLoaded = true, AllWarmZero = true;
-  bool JitWinsSomewhere = false;
-  for (const Spec &S : Specs) {
-    ServingModel M(Lib, S.Name, S.Build(S.Scale));
-    ReferenceSet Oracle =
-        sequentialReferences(M.execGraph(), M.R.Plan, Lib, 1, 19);
-    const Tensor3D &Input = Oracle.Inputs[0];
-
-    ExecutionContextOptions CtxOpts;
-    CtxOpts.UseArena = true;
-    double InterpP50 = steadyP50(*M.CN->newContext(CtxOpts), Input, S.Iters);
-
-    // Cold jit compile: the object lands in the cache.
-    CompileOptions JOpts;
-    JOpts.Jit = true;
-    JOpts.JitOpts.CacheDir = ObjCache;
-    std::shared_ptr<const CompiledNet> Jit = M.Eng.compile(M.Net, M.R, JOpts);
-    if (!Jit)
-      fatal(std::string("jit compile failed on ") + S.Name);
-    bool Loaded = Jit->isJitted();
-    double JitP50 = 0.0;
-    bool Identical = false;
-    if (Loaded) {
-      std::unique_ptr<ExecutionContext> Ctx = Jit->newContext(CtxOpts);
-      JitP50 = steadyP50(*Ctx, Input, S.Iters);
-      Ctx->run(Input);
-      Identical =
-          maxAbsDifference(Ctx->networkOutput(), Oracle.Outputs[0]) == 0.0f;
-    } else {
-      std::fprintf(stderr, "FAIL: %s served interpreted (%s)\n", S.Name,
-                   Jit->jitReport().Error.c_str());
-    }
-
-    // Warm rebuild: the fingerprint must hit the object cache, never the
-    // compiler.
-    std::shared_ptr<const CompiledNet> Warm = M.Eng.compile(M.Net, M.R, JOpts);
-    bool WarmZero = Warm && Warm->isJitted() && Warm->jitReport().CacheHit &&
-                    Warm->jitReport().CompilerInvocations == 0;
-
-    AllLoaded &= Loaded;
-    AllWarmZero &= WarmZero;
-    if (S.Zoo)
-      AllIdentical &= Identical;
-    JitWinsSomewhere |= Loaded && JitP50 < InterpP50;
-    double Speedup = JitP50 > 0.0 ? InterpP50 / JitP50 : 0.0;
-    double ObjectKiB = static_cast<double>(Jit->jitObjectBytes()) / 1024.0;
-    std::printf("%-16s interp p50 %8.3f ms, jit p50 %8.3f ms (%.2fx), "
-                "compile %7.1f ms, object %6.1f KiB, outputs %s, warm cache "
-                "%s\n",
-                S.Name, InterpP50, JitP50, Speedup, Jit->jitCompileMillis(),
-                ObjectKiB, Identical ? "identical" : "DIFFER",
-                WarmZero ? "hit" : "MISS");
-    Rep.Records.push_back(record("jit", S.Name)
-                              .set("interp_p50_ms", InterpP50)
-                              .set("jit_p50_ms", JitP50)
-                              .set("speedup", Speedup)
-                              .set("jit_compile_ms", Jit->jitCompileMillis())
-                              .set("object_kib", ObjectKiB)
-                              .set("jit_loaded", Loaded)
-                              .set("bit_identical", Identical)
-                              .set("warm_cache_zero_invocations", WarmZero));
-  }
-  Rep.check("jit.bit_identical", AllIdentical,
-            "jit outputs bit-identical to the sequential executor on every "
-            "zoo model");
-  Rep.check("jit.all_loaded", AllLoaded,
-            "every jit artifact loaded (no silent fallback)");
-  Rep.check("jit.warm_cache_no_compiler", AllWarmZero,
-            "warm object cache: zero compiler invocations on rebuild");
-  Rep.check("jit.beats_interpreter", JitWinsSomewhere,
-            "jit steady state beats interpreted on >= 1 row");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1138,7 +1018,6 @@ int main() {
   planCacheSection(Config, Lib, Rep);
   arenaSection(Config, Lib, Rep);
   compiledSection(Config, Lib, Rep);
-  jitSection(Config, Lib, Rep);
   poissonSections(Config, Lib, Rep);
   fleetSection(Config, Lib, Rep);
 

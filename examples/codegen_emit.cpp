@@ -9,12 +9,15 @@
 // Usage:
 //   codegen_emit <model> [scale] [output-path]
 //     model   alexnet | vgg-b | vgg-c | vgg-d | vgg-e | googlenet |
-//             tinychain | tinydag
+//             tinychain | tinydag | random-residual
 //     scale   spatial input scale, default 0.25
 //     output  file to write; stdout when omitted
 //
-// The build also runs this tool on tinydag and compiles + verifies the
-// result against the interpreter (see examples/codegen_driver.cpp).
+// random-residual is randomResidualNetwork(2026, 128 * scale, 2), a
+// residual/depthwise DAG. The build also runs this tool on tinydag and
+// compiles + verifies the result against the interpreter (see
+// examples/codegen_driver.cpp); the test suite does the same for
+// random-residual (tests/codegen_test.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +53,10 @@ std::optional<NetworkGraph> buildNamedModel(const std::string &Name,
     return tinyChain(static_cast<int64_t>(128 * Scale));
   if (Name == "tinydag")
     return tinyDag(static_cast<int64_t>(128 * Scale));
+  if (Name == "random-residual")
+    return randomResidualNetwork(/*Seed=*/2026,
+                                 static_cast<int64_t>(128 * Scale),
+                                 /*Stages=*/2);
   return std::nullopt;
 }
 

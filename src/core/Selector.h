@@ -44,17 +44,6 @@ struct SelectionResult {
   /// the only metric, as historically).
   double ModelledPerRunMs = 0.0;
   double ModelledPrepareMs = 0.0;
-  /// JIT selection dimension, filled by engine runs with
-  /// EngineOptions.ConsiderJit: ModelledJitPerRunMs is the modelled
-  /// steady-state per-inference cost of serving this plan through the
-  /// generated straight-line program (the interpreted per-run cost minus
-  /// the per-step dispatch overhead -- never more than the interpreted
-  /// cost), and ModelledJitCompileMs the one-time compiler invocation
-  /// credited to the prepare phase, amortizable exactly like weight
-  /// transforms. Both zero when the dimension is off.
-  bool JitConsidered = false;
-  double ModelledJitPerRunMs = 0.0;
-  double ModelledJitCompileMs = 0.0;
   /// Wall-clock time spent solving the PBQP query (§5.4 reports < 1 s).
   double SolveMillis = 0.0;
   /// Wall-clock time spent gathering costs and building the PBQP query.

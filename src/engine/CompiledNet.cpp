@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 
@@ -70,23 +69,6 @@ CompiledNet::CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
     }
   }
   PrepareMs = PrepareTimer.millis();
-
-  // The JIT attempt runs after the interpreted state is fully built, so
-  // every rung of the fallback ladder lands on a working artifact: no
-  // compiler -> interpret, compile error -> interpret, per-context jit
-  // context failure -> that context interprets. Compile time is charged to
-  // the prepare phase -- it amortizes across requests exactly like kernel
-  // packing.
-  if (Opts.Jit) {
-    Jit = jit::JitProgram::create(Net, SelPlan, Lib, Opts.WeightSeed,
-                                  Opts.JitOpts, JitRep);
-    PrepareMs += JitRep.CompileMs;
-    if (!Jit)
-      std::fprintf(stderr,
-                   "primsel: warning: jit compile failed (%s); serving "
-                   "interpreted\n",
-                   JitRep.Error.c_str());
-  }
 }
 
 std::shared_ptr<const CompiledNet>
@@ -153,29 +135,13 @@ ExecutionContext::ExecutionContext(std::shared_ptr<const CompiledNet> CN,
         C.Lib.get(C.SelPlan.ConvPrim[N]), Node.Scenario, C.Prepared[N],
         C.Opts.WeightSeed + Node.BiasSeedId);
   }
-
-  // Jitted artifact: additionally bind a generated-code context. The
-  // interpreted instances above stay bound either way, so a failed jit
-  // context (allocation failure inside the object) silently degrades this
-  // one context to interpretation.
-  if (C.isJitted())
-    JitCtx = C.Jit->createContext();
 }
 
-ExecutionContext::~ExecutionContext() {
-  if (JitCtx)
-    Compiled->Jit->destroyContext(JitCtx);
-}
+ExecutionContext::~ExecutionContext() = default;
 
 const Tensor3D &ExecutionContext::outputOf(NetworkGraph::NodeId N,
                                            size_t Image) const {
   assert(Image < CurBatch && "image index out of the last run's batch");
-  if (JitCtx) {
-    // The generated program materializes only the network output; other
-    // nodes' tensors live inside the jit context.
-    assert(N == OutNode && "jitted contexts expose only the network output");
-    return JitOutputs[Image];
-  }
   const MemoryPlan &MPlan = Compiled->MPlan;
   assert((!Opts.UseArena || !MPlan.Values[MPlan.NodeValue[N]].inArena()) &&
          "arena mode recycles non-output intermediates; outputOf is only "
@@ -338,23 +304,6 @@ RunResult ExecutionContext::runImages(const Tensor3D *const *Inputs,
   RunResult R;
   Timer Total;
   CurBatch = K;
-
-  // Jitted path: the generated per-image straight-line program, looped --
-  // no per-step dispatch, timing or allocation. Bit-identical to the
-  // interpreted pass below by construction (same primitives, same bound
-  // instances, same layer operators, same seeds).
-  if (JitCtx) {
-    for (size_t I = 0; I < K; ++I) {
-      const Tensor3D &O = Compiled->Jit->run(JitCtx, *Inputs[I], Pool.get());
-      if (JitOutputs.size() == I)
-        JitOutputs.emplace_back(O.channels(), O.height(), O.width(),
-                                O.layout());
-      std::memcpy(JitOutputs[I].data(), O.data(),
-                  static_cast<size_t>(O.size()) * sizeof(float));
-    }
-    R.TotalMillis = Total.millis();
-    return R;
-  }
 
   // Levels in order; a level's steps only read values defined in earlier
   // levels, so within a level any order -- including concurrent -- is

@@ -38,7 +38,6 @@
 #define PRIMSEL_ENGINE_COMPILEDNET_H
 
 #include "core/Plan.h"
-#include "jit/JitRuntime.h"
 #include "runtime/ExecutionPlan.h"
 #include "runtime/MemoryPlanner.h"
 #include "support/AlignedBuffer.h"
@@ -66,15 +65,6 @@ struct CompileOptions {
   /// ExecutorOptions::WeightSeed; equal seeds make a CompiledNet and a
   /// plain Executor compute the same function).
   uint64_t WeightSeed = 7;
-  /// Also JIT-compile the plan (emitPlanSource -> system compiler ->
-  /// dlopen) and serve the generated straight-line program instead of
-  /// interpreting. On any failure -- no compiler, compile error, load
-  /// error -- the artifact stays fully functional and serves interpreted;
-  /// jitReport().Error says why.
-  bool Jit = false;
-  /// Compiler/cache knobs for the JIT (Engine::compile defaults the cache
-  /// directory to its PlanCacheDir so objects amortize across processes).
-  jit::JitOptions JitOpts;
 };
 
 /// Per-context (per-request/per-thread) execution knobs.
@@ -121,23 +111,8 @@ public:
   /// Conv nodes whose kernels were prepared at compile time.
   unsigned numPreparedKernels() const;
   /// Wall-clock milliseconds build() spent in weight generation and
-  /// prepare() -- the one-time cost requests no longer pay. For JIT
-  /// artifacts this includes jitCompileMillis(): compile time is
-  /// prepare-phase amortizable cost.
+  /// prepare() -- the one-time cost requests no longer pay.
   double prepareMillis() const { return PrepareMs; }
-
-  /// True when a JIT object is loaded and contexts serve the generated
-  /// straight-line program. False means interpreted -- either Jit was off
-  /// or the fallback ladder engaged (see jitReport().Error).
-  bool isJitted() const { return Jit != nullptr; }
-  /// What the JIT attempt did (default-constructed when Jit was off).
-  const jit::JitReport &jitReport() const { return JitRep; }
-  /// Size of the loaded shared object (0 when not jitted); charged to the
-  /// fleet budget on top of preparedBytes().
-  size_t jitObjectBytes() const { return Jit ? Jit->objectBytes() : 0; }
-  /// Wall-clock milliseconds spent emitting + compiling + loading the JIT
-  /// object (0 when Jit was off; included in prepareMillis()).
-  double jitCompileMillis() const { return JitRep.CompileMs; }
 
   /// A fresh, independent per-request context. Thread-safe: any number of
   /// threads may create and run contexts concurrently.
@@ -163,11 +138,6 @@ private:
   /// Per node: FC weight matrices and standalone bias vectors, read-only
   /// at run time and therefore shared by every context.
   std::vector<AlignedBuffer> FcWeights;
-  /// The loaded JIT object (null when Jit is off or the fallback ladder
-  /// engaged). The interpreted state above is always built regardless, so
-  /// a context whose JIT context creation fails still serves.
-  std::unique_ptr<jit::JitProgram> Jit;
-  jit::JitReport JitRep;
 };
 
 /// The lightweight per-request half and the one interpreter of the
@@ -183,8 +153,7 @@ private:
 ///
 /// Not thread-safe itself -- one context per serving thread -- but
 /// independent contexts never share mutable state, so they run
-/// concurrently. Jitted artifacts loop the K images through one generated
-/// context (the generated program is a per-image pass).
+/// concurrently.
 class ExecutionContext {
 public:
   /// \p Compiled may be any artifact: a batch-1 plan yields a capacity-1
@@ -256,14 +225,6 @@ private:
   /// hops); inner vectors hold the current run's K entries.
   std::vector<std::vector<Tensor3D>> Values;
   size_t CurBatch = 0;
-
-  /// Generated-code context when the artifact is jitted (null otherwise
-  /// or when its creation failed -- then this context interprets).
-  /// ParallelBranches does not apply to the straight-line program.
-  void *JitCtx = nullptr;
-  /// Copies of the jitted per-image outputs (the generated context reuses
-  /// one output tensor across runs); sized on first use, then reused.
-  std::vector<Tensor3D> JitOutputs;
 };
 
 } // namespace primsel

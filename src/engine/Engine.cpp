@@ -58,28 +58,7 @@ std::string costIdentityFor(const CostProvider &Costs,
     for (size_t I = 0; I < Axis.size(); ++I)
       Id += (I ? "," : "") + std::to_string(Axis[I]);
   }
-  // The JIT dimension solves over the same node costs but reports an
-  // extra modelled comparison; tag it so jit-aware and interpreter-only
-  // plans never serve each other from the cache.
-  if (Options.ConsiderJit)
-    Id += ":jit";
   return Id;
-}
-
-/// Modelled per-step interpreter overhead (ms): dispatch, per-step timing
-/// and value-table bookkeeping the interpreted ExecutionContext pays on
-/// every step and a JIT-compiled straight-line program does not. Keeping
-/// it non-negative guarantees the modelled JIT per-run cost never exceeds
-/// the interpreted cost.
-constexpr double ModelledDispatchOverheadMs = 2e-4;
-
-/// Modelled one-time cost (ms) of JIT-compiling a plan with \p Steps
-/// execution steps: compiler process startup plus per-step source growth.
-/// Deliberately coarse -- it is amortizable prepare-phase cost, so its
-/// magnitude only matters against other prepare work, never against
-/// per-run cost.
-double modelledJitCompileMs(size_t Steps) {
-  return 150.0 + 2.0 * static_cast<double>(Steps);
 }
 
 } // namespace
@@ -129,25 +108,6 @@ SelectionResult Engine::run(const NetworkGraph &Net,
     Target = Rewritten.get();
   }
 
-  // The JIT selection dimension, attached uniformly to solved and
-  // cache-hit results: the modelled steady-state cost of serving the plan
-  // through the generated straight-line program. Derived from the plan's
-  // own modelled cost minus the per-step dispatch overhead (clamped, so
-  // enabling the dimension can never increase the modelled cost), with
-  // the compiler invocation credited as amortizable prepare work.
-  auto attachJitModel = [&](SelectionResult &Res) {
-    if (!Options.ConsiderJit || Res.Plan.empty())
-      return;
-    size_t Steps =
-        ExecutionPlan::compile(*Target, Res.Plan, Lib).steps().size();
-    double Base = Options.AmortizeWeightTransforms ? Res.ModelledPerRunMs
-                                                   : Res.ModelledCostMs;
-    Res.JitConsidered = true;
-    Res.ModelledJitPerRunMs = std::max(
-        0.0, Base - ModelledDispatchOverheadMs * static_cast<double>(Steps));
-    Res.ModelledJitCompileMs = modelledJitCompileMs(Steps);
-  };
-
   PlanKey Key;
   if (Plans) {
     Key.NetworkFingerprint = fingerprintNetwork(*Target, Lib);
@@ -169,7 +129,6 @@ SelectionResult Engine::run(const NetworkGraph &Net,
       // and a disk hit carries none.
       Hit->Rewritten = Rewritten;
       Hit->Passes = PassStats;
-      attachJitModel(*Hit);
       return *Hit;
     }
   }
@@ -200,7 +159,6 @@ SelectionResult Engine::run(const NetworkGraph &Net,
   R.Cache = Cache.stats();
   if (Plans)
     Plans->store(Key, R, *Target, Lib);
-  attachJitModel(R);
   return R;
 }
 
@@ -261,12 +219,7 @@ Engine::compile(const NetworkGraph &Net, const SelectionResult &R,
                 const CompileOptions &Options) const {
   if (R.Plan.empty())
     return nullptr;
-  // JIT objects cache next to the plans: a fleet pointed at one warm
-  // directory skips the compiler the same way it skips the solver.
-  CompileOptions Effective = Options;
-  if (Effective.Jit && Effective.JitOpts.CacheDir.empty())
-    Effective.JitOpts.CacheDir = Opts.PlanCacheDir;
-  return CompiledNet::build(R.executionGraph(Net), R.Plan, Lib, Effective);
+  return CompiledNet::build(R.executionGraph(Net), R.Plan, Lib, Options);
 }
 
 namespace {
@@ -371,10 +324,7 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
     Plan = std::move(R.Plan);
   }
 
-  CompileOptions Effective = Options;
-  if (Effective.Jit && Effective.JitOpts.CacheDir.empty())
-    Effective.JitOpts.CacheDir = Opts.PlanCacheDir;
-  return CompiledNet::build(BNet, Plan, Lib, Effective);
+  return CompiledNet::build(BNet, Plan, Lib, Options);
 }
 
 std::shared_ptr<CompiledNetLadder>

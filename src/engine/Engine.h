@@ -95,16 +95,6 @@ struct EngineOptions {
   /// changes results (the packed GEMM is bitwise thread-count-invariant),
   /// only speed.
   std::vector<unsigned> ExecThreadCandidates;
-  /// Make JIT compilation a selection dimension: optimize() additionally
-  /// models serving each plan through the generated straight-line program
-  /// (SelectionResult::ModelledJitPerRunMs, never more than the
-  /// interpreted per-run cost) with the compiler invocation credited as
-  /// prepare-phase amortizable cost (ModelledJitCompileMs). The mode joins
-  /// the plan-cache cost identity (":jit"), so jit-aware and
-  /// interpreter-only plans never mix. Engine::compile picks the serving
-  /// mode via CompileOptions::Jit; this flag only adds the modelled
-  /// comparison to selection results.
-  bool ConsiderJit = false;
   /// Graph-transform passes (transforms/Pass.h) applied to the network
   /// before formulation. Empty = O0: the graph is optimized exactly as
   /// given, the historical behaviour. For O1 use
@@ -183,10 +173,10 @@ public:
 
   /// As optimize(Net), but with one-off options (e.g. a different backend
   /// for a cross-check, or different solver knobs). Only Options.Solver,
-  /// Options.SolverOptions, Options.Passes, Options.AmortizeWeightTransforms,
-  /// Options.ExecThreadCandidates and Options.ConsiderJit take effect here:
-  /// the thread pool is a construction-time property of the engine, so
-  /// Options.Threads is ignored.
+  /// Options.SolverOptions, Options.Passes, Options.AmortizeWeightTransforms
+  /// and Options.ExecThreadCandidates take effect here: the thread pool is
+  /// a construction-time property of the engine, so Options.Threads is
+  /// ignored.
   SelectionResult optimize(const NetworkGraph &Net,
                            const EngineOptions &Options);
 

@@ -64,9 +64,7 @@ struct LadderOptions {
   /// synchronously inside compileLadder -- the fleet uses this so budget
   /// accounting sees the whole ladder at once.
   bool Background = true;
-  /// Knobs for every bucket's artifact (a bucket can be jitted like any
-  /// other CompiledNet: the generated program is per-image and the
-  /// context loops it over the batch).
+  /// Knobs for every bucket's artifact.
   CompileOptions Compile;
 };
 

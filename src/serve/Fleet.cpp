@@ -19,12 +19,8 @@ ModelRegistry::ModelRegistry(Engine &Eng, RegistryOptions Options)
 
 size_t ModelRegistry::artifactBytes(const CompiledNet &CN,
                                     unsigned ArenaSlabs) {
-  // JIT artifacts additionally carry their mapped shared object (the
-  // generated code plus the .so's own copy of the prepared state it
-  // builds); charge it so a jitted fleet stays inside the same budget.
   return CN.preparedBytes() +
-         CN.memoryPlan().arenaBytes() * static_cast<size_t>(ArenaSlabs) +
-         CN.jitObjectBytes();
+         CN.memoryPlan().arenaBytes() * static_cast<size_t>(ArenaSlabs);
 }
 
 bool ModelRegistry::addModel(const std::string &Name, NetworkGraph Net) {

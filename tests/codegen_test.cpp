@@ -1,17 +1,17 @@
 //===- tests/codegen_test.cpp - LayerOps + code generator tests -----------===//
 //
 // Unit tests for the public non-conv layer operators (runtime/LayerOps.h)
-// and structural tests for the C++ code generator (codegen/CodeGen.h). The
-// compile-and-execute verification of generated code happens in the build
-// itself (examples/codegen_driver); here we check the operators' math and
-// the emitted program's structure.
+// and tests for the C++ code generator (codegen/CodeGen.h): the emitted
+// program's structure, and one emitted program executed. That program is
+// generated at build time (tests/CMakeLists.txt runs codegen_emit on the
+// random-residual model) and compiled into this test, as
+// examples/codegen_driver does for tinydag.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CodeGen.h"
 #include "cost/AnalyticModel.h"
 #include "engine/Engine.h"
-#include "jit/JitRuntime.h"
 #include "nn/Models.h"
 #include "runtime/Executor.h"
 #include "runtime/LayerOps.h"
@@ -21,6 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+
+// The program emitted for randomResidualNetwork(2026, 24, 2) at build time.
+#include "random_residual_gen.inc"
 
 using namespace primsel;
 
@@ -277,24 +280,18 @@ TEST(CodeGen, EmitsLayerOpsForDummyLayers) {
 }
 
 TEST(CodeGen, GeneratedProgramExecutesRandomResidualNetwork) {
-  // Beyond string checks: actually compile and execute the emitted program
-  // (via the JIT pipeline) for a pseudo-random residual/depthwise DAG and
-  // diff against the interpreting Executor oracle. The build-time check
-  // (examples/codegen_driver) only ever covers tinydag.
+  // Beyond string checks: execute the emitted program for a pseudo-random
+  // residual/depthwise DAG and diff against the interpreting Executor
+  // oracle. The plan is re-solved exactly as codegen_emit solved it
+  // (analytic Haswell costs, one thread), so both run the same plan.
   NetworkGraph Net = randomResidualNetwork(/*Seed=*/2026, /*InputSize=*/24,
                                            /*Stages=*/2);
   static PrimitiveLibrary Lib = buildFullLibrary();
   MachineProfile Profile = MachineProfile::haswell();
-  AnalyticCostProvider Costs(Lib, Profile);
-  SelectionResult R = optimizeNetwork(Net, Lib, Costs);
+  AnalyticCostProvider Costs(Lib, Profile, /*Threads=*/1);
+  Engine Eng(Lib, Costs);
+  SelectionResult R = Eng.optimize(Net);
   ASSERT_FALSE(R.Plan.empty());
-
-  jit::JitOptions JO;
-  JO.ExtraFlags = "-O0"; // glue only; identity holds at any -O level
-  jit::JitReport Rep;
-  std::unique_ptr<jit::JitProgram> P =
-      jit::JitProgram::create(Net, R.Plan, Lib, /*WeightSeed=*/7, JO, Rep);
-  ASSERT_TRUE(P) << Rep.Error;
 
   Executor Oracle(Net, R.Plan, Lib, /*Threads=*/1, /*WeightSeed=*/7);
   const TensorShape &Sh = Net.node(0).OutShape;
@@ -302,11 +299,10 @@ TEST(CodeGen, GeneratedProgramExecutesRandomResidualNetwork) {
   In.fillRandom(5);
   Oracle.run(In);
 
-  void *Ctx = P->createContext();
-  ASSERT_NE(Ctx, nullptr);
-  const Tensor3D &Out = P->run(Ctx, In, nullptr);
+  generated::Program P(Lib, /*WeightSeed=*/7);
+  generated::Program::Context Ctx(P);
+  const Tensor3D &Out = Ctx.run(In);
   EXPECT_EQ(maxAbsDifference(Out, Oracle.networkOutput()), 0.0f);
-  P->destroyContext(Ctx);
 }
 
 TEST(CodeGen, GoogLeNetScaleProgramEmits) {

@@ -50,7 +50,7 @@
 //
 // --amortize switches optimize/warm/serve to the serving-mode cost split
 // (per-inference PBQP costs); 'compile', 'serve --open-loop',
-// 'serve --batch-ladder', 'serve --jit' and 'serve --models' imply it.
+// 'serve --batch-ladder' and 'serve --models' imply it.
 //
 // --exec-threads N adds intra-op worker counts {1, 2, ..., N} as an extra
 // PBQP dimension: each conv node is annotated with its chosen count (the
@@ -153,14 +153,6 @@ struct CliOptions {
   /// --swaps N: hot-swap a recompiled artifact N times under live fleet
   /// traffic (0 = never) -- exercises the RCU publish path end to end.
   unsigned Swaps = 0;
-  /// --jit: compile the selected plan to native code through the system
-  /// compiler and serve it through the same ExecutionContext interface
-  /// (falls back to the interpreter, with a warning, if that fails).
-  /// Adds the modelled jit-vs-interpreter cost dimension to selection.
-  bool Jit = false;
-  /// --jit-cc PATH: compiler driver for --jit (default: $PRIMSEL_CC,
-  /// then 'cc').
-  std::string JitCc;
   /// --batch-ladder: serve coalesced batches through the batch-bucketed
   /// plan ladder (engine/Ladder.h) -- one PBQP-solved artifact per bucket
   /// {1, 2, 4, ..., --max-batch}, real §8 minibatch plans per bucket --
@@ -221,11 +213,10 @@ int usage(const char *Argv0) {
       "           [-O0|-O1] [--passes LIST] [--amortize]\n"
       "  compile <model-or-file> [--plan-cache DIR] [--scale S] [--arm]\n"
       "           [--solver NAME] [-O0|-O1] [--passes LIST]\n"
-      "           [--jit] [--jit-cc PATH]\n"
       "  serve <model-or-file> [--requests N] [--threads N]\n"
       "           [--parallel] [--no-arena] [--plan-cache DIR] [--scale S]\n"
       "           [--arm] [--solver NAME] [-O0|-O1] [--passes LIST]\n"
-      "           [--amortize] [--exec-threads N] [--jit] [--jit-cc PATH]\n"
+      "           [--amortize] [--exec-threads N]\n"
       "           [--open-loop] [--rate R] [--slo-ms D] [--max-batch B]\n"
       "           [--max-delay-us U] [--max-queue Q]\n"
       "           [--batch-ladder] [--bucket-compile bg|sync]\n"
@@ -237,7 +228,7 @@ int usage(const char *Argv0) {
       "pipeline; --passes LIST runs a comma-separated list (see docs/cli.md).\n"
       "--amortize prices selection on per-inference costs (weight\n"
       "transforms amortized); 'compile', 'serve --open-loop',\n"
-      "'serve --batch-ladder', 'serve --jit' and 'serve --models' imply it.\n"
+      "'serve --batch-ladder' and 'serve --models' imply it.\n"
       "--exec-threads N adds intra-op worker counts up to N as a PBQP\n"
       "dimension (optimize/warm/compile/serve); --simd\n"
       "scalar|avx2|avx512|native forces the GEMM dispatch tier.\n"
@@ -251,10 +242,6 @@ int usage(const char *Argv0) {
       "--open-loop); --bucket-compile bg compiles missing buckets in the\n"
       "background while the per-slot path serves, sync compiles all\n"
       "buckets up front.\n"
-      "--jit compiles the selected plan to native code via the system\n"
-      "compiler (--jit-cc PATH or $PRIMSEL_CC, default 'cc') and serves\n"
-      "it; objects are cached in --plan-cache DIR; on any failure the\n"
-      "interpreter serves instead.\n"
       "serve --models runs the multi-model fleet: one artifact registry\n"
       "under a --mem-budget M (MiB; LRU eviction, recompiles hit the\n"
       "shared plan cache), per-model batcher lanes, mixed Poisson traffic,\n"
@@ -460,10 +447,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Parallel = true;
     else if (Arg == "--no-arena" && !HasInline)
       Opts.NoArena = true;
-    else if (Arg == "--jit" && !HasInline)
-      Opts.Jit = true;
-    else if (Arg == "--jit-cc" && Next(Val))
-      Opts.JitCc = Val;
     else if (Arg == "--amortize" && !HasInline)
       Opts.Amortize = true;
     else if (Arg == "-O0" && !HasInline)
@@ -532,13 +515,12 @@ std::optional<NetworkGraph> resolveNetwork(const std::string &Target,
 /// True when the command runs selection on serving-mode (amortized)
 /// per-inference costs: the explicit flag, the compile command, and the
 /// serve variants built around the hoisted weight transforms -- open loop
-/// (which --batch-ladder implies), jit and fleet. Default 'serve' keeps
+/// (which --batch-ladder implies) and fleet. Default 'serve' keeps
 /// one-shot costs, so a plain 'warm' serves it from the plan cache.
 bool amortizeActive(const CliOptions &Opts) {
   return Opts.Amortize || Opts.Command == "compile" ||
          (Opts.Command == "serve" &&
-          (Opts.OpenLoop || Opts.BatchLadder || Opts.Jit ||
-           !Opts.Models.empty()));
+          (Opts.OpenLoop || Opts.BatchLadder || !Opts.Models.empty()));
 }
 
 /// The thread-candidate axis --exec-threads N describes: 1, the powers of
@@ -568,38 +550,7 @@ EngineOptions engineOptions(const CliOptions &Opts) {
   // options here, so a 'warm --exec-threads 4' and a 'serve --exec-threads
   // 4' agree on the plan-cache cost identity and warm-then-serve hits.
   EOpts.ExecThreadCandidates = execThreadCandidates(Opts.ExecThreads);
-  // --jit adds the modelled jit-vs-interpreter dimension (and the ":jit"
-  // cost-identity marker, so jit and interpreter plan-cache entries never
-  // mix).
-  EOpts.ConsiderJit = Opts.Jit;
   return EOpts;
-}
-
-/// The artifact configuration the CLI options describe. Engine::compile
-/// defaults the jit object cache into --plan-cache when one is set.
-CompileOptions compileOptions(const CliOptions &Opts) {
-  CompileOptions COpts;
-  COpts.Jit = Opts.Jit;
-  COpts.JitOpts.Compiler = Opts.JitCc;
-  return COpts;
-}
-
-/// One-line jit report for compile/serve --jit: did the native object
-/// load, where did it come from, and what did it cost.
-void printJitReport(const CompiledNet &CN) {
-  if (!CN.isJitted()) {
-    // The fallback warning already went to stderr; note the serving mode
-    // on stdout so transcripts are self-describing.
-    std::printf("# jit: unavailable, serving interpreted\n");
-    return;
-  }
-  const jit::JitReport &JR = CN.jitReport();
-  std::printf("# jit: %s object %.1f KiB in %.2f ms (%u compiler "
-              "invocation%s), fingerprint %s\n",
-              JR.CacheHit ? "cached" : "fresh",
-              static_cast<double>(JR.ObjectBytes) / 1024.0, JR.CompileMs,
-              JR.CompilerInvocations, JR.CompilerInvocations == 1 ? "" : "s",
-              JR.Fingerprint.c_str());
 }
 
 /// FNV-1a over a tensor's raw bytes.
@@ -616,8 +567,8 @@ uint64_t tensorChecksum(const Tensor3D &Out) {
 }
 
 /// FNV-1a over the network output of one deterministic forward pass.
-/// Printed by 'serve' so CI can diff a --jit transcript against an
-/// interpreted one: identical checksums = bit-identical serving.
+/// Printed by 'serve' so CI can diff it against a ladder run's per-bucket
+/// checksums: identical checksums = bit-identical serving.
 uint64_t outputChecksum(const CompiledNet &CN) {
   ExecutionContextOptions CtxOpts;
   std::unique_ptr<ExecutionContext> Ctx = CN.newContext(CtxOpts);
@@ -981,7 +932,7 @@ int cmdCompile(const CliOptions &Opts) {
     return 1;
   }
   Timer CompileTimer;
-  std::shared_ptr<const CompiledNet> CN = Eng.compile(*Net, R, compileOptions(Opts));
+  std::shared_ptr<const CompiledNet> CN = Eng.compile(*Net, R);
   double CompileMillis = CompileTimer.millis();
   if (!CN) {
     std::fprintf(stderr, "error: compilation failed\n");
@@ -1002,10 +953,6 @@ int cmdCompile(const CliOptions &Opts) {
               CN->numPreparedKernels(),
               static_cast<double>(CN->preparedBytes()) / (1024.0 * 1024.0),
               CompileMillis, CN->prepareMillis());
-  // The jit compiler invocation is prepare-phase work: it lands inside
-  // prepareMillis above, and this line breaks it out.
-  if (Opts.Jit)
-    printJitReport(*CN);
   std::printf("# artifact: %u steps, %zu values, %zu levels, arena "
               "template %.2f MiB\n",
               static_cast<unsigned>(CN->program().steps().size()),
@@ -1036,12 +983,11 @@ int serveModel(const CliOptions &Opts, Engine &Eng, const NetworkGraph &Net,
     LadderOptions LO;
     LO.MaxBatch = static_cast<int64_t>(std::max(1u, Opts.MaxBatch));
     LO.Background = Opts.BucketCompile != "sync";
-    LO.Compile = compileOptions(Opts);
     Ladder = Eng.compileLadder(Net, LO);
     if (Ladder)
       CN = Ladder->bucket(1);
   } else {
-    CN = Eng.compile(Net, R, compileOptions(Opts));
+    CN = Eng.compile(Net, R);
   }
   double CompileMillis = CompileTimer.millis();
   if (!CN) {
@@ -1078,8 +1024,6 @@ int serveModel(const CliOptions &Opts, Engine &Eng, const NetworkGraph &Net,
               "%.2f MiB packed weights)\n",
               CompileMillis, CN->prepareMillis(), CN->numPreparedKernels(),
               static_cast<double>(CN->preparedBytes()) / (1024.0 * 1024.0));
-  if (Opts.Jit)
-    printJitReport(*CN);
   const MemoryPlan &MP = CN->memoryPlan();
   std::printf("# memory: arena %.2f MiB + persistent %.2f MiB vs %.2f MiB "
               "per-layer baseline (%u packed values)\n",
@@ -1093,9 +1037,8 @@ int serveModel(const CliOptions &Opts, Engine &Eng, const NetworkGraph &Net,
     std::printf("# ladder: buckets up to %lld, bucket-compile %s\n",
                 static_cast<long long>(Ladder->maxBucket()),
                 Opts.BucketCompile.c_str());
-  // CI diffs this line between a --jit and an interpreted run, and against
-  // a ladder run's per-bucket lines: identical checksums prove the native
-  // object and the batched plans serve bit-identical outputs.
+  // CI diffs this line against a ladder run's per-bucket lines: identical
+  // checksums prove the batched plans serve bit-identical outputs.
   std::printf("# output checksum %016llx\n",
               static_cast<unsigned long long>(outputChecksum(*CN)));
 
@@ -1191,9 +1134,6 @@ int cmdServeFleet(const CliOptions &Opts) {
   ROpts.MemBudgetBytes =
       static_cast<size_t>(Opts.MemBudgetMiB * 1024.0 * 1024.0);
   ROpts.ArenaSlabsPerModel = std::max(1u, Opts.MaxBatch);
-  // --jit fleets serve native objects; artifactBytes then charges the
-  // mapped .so against the memory budget alongside the packed weights.
-  ROpts.Compile = compileOptions(Opts);
   if (Opts.BatchLadder) {
     // Whole ladders compile synchronously at first acquire and the sum of
     // resident rungs is charged to the budget; cold buckets are evicted
