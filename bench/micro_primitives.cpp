@@ -92,8 +92,7 @@ int main(int argc, char **argv) {
   // inception-heavy nets.
   static const ConvScenario Pointwise{64, 28, 28, 1, 1, 32, 0};
   registerScenario("pointwise1x1", Pointwise,
-                   {"im2col-b-chw-chw", "hwcnn-pointwise-hwc-hwc",
-                    "hwcnn-pointwise-tb-hwc-hwc"});
+                   {"im2col-b-chw-chw", "hwcnn-pointwise-hwc-hwc"});
   benchmark::RegisterBenchmark("transform/chw2hwc_64x56x56", benchTransform);
 
   benchmark::Initialize(&argc, argv);

@@ -52,8 +52,7 @@ float kkcElem(const ConvScenario &S, const Kernel4D &W, int64_t F,
 
 /// Weight-side artifact of the GEMM routines: the (K*K*C) x M kernel
 /// matrix as operand B of the (Ho*Wo) x M x (K*K*C) product, in the
-/// micro-kernel's panels. Packed, it is the same panels whether the
-/// variant passes it plain or transposed.
+/// micro-kernel's panels.
 struct HwcGemmPrepared : PreparedKernel {
   HwcGemmPrepared(const ConvScenario &S, const Kernel4D &Weights)
       : Panels(PackedOperand(GemmSide::B, S.outHeight() * S.outWidth(), S.M,
@@ -144,13 +143,7 @@ private:
 
 class HwcIm2RowPrimitive : public ConvPrimitive {
 public:
-  explicit HwcIm2RowPrimitive(GemmVariant Variant) : Variant(Variant) {}
-
-  std::string name() const override {
-    return Variant == GemmVariant::TransposedB
-               ? "hwcnn-im2row-tb-hwc-hwc"
-               : "hwcnn-im2row-hwc-hwc";
-  }
+  std::string name() const override { return "hwcnn-im2row-hwc-hwc"; }
   ConvFamily family() const override { return ConvFamily::Im2; }
   Layout inputLayout() const override { return Layout::HWC; }
   Layout outputLayout() const override { return Layout::HWC; }
@@ -183,9 +176,6 @@ public:
         S, std::static_pointer_cast<const HwcGemmPrepared>(
                std::move(Prepared)));
   }
-
-private:
-  GemmVariant Variant;
 };
 
 //===----------------------------------------------------------------------===//
@@ -230,13 +220,7 @@ private:
 
 class HwcPointwisePrimitive : public ConvPrimitive {
 public:
-  explicit HwcPointwisePrimitive(GemmVariant Variant) : Variant(Variant) {}
-
-  std::string name() const override {
-    return Variant == GemmVariant::TransposedB
-               ? "hwcnn-pointwise-tb-hwc-hwc"
-               : "hwcnn-pointwise-hwc-hwc";
-  }
+  std::string name() const override { return "hwcnn-pointwise-hwc-hwc"; }
   ConvFamily family() const override { return ConvFamily::Im2; }
   Layout inputLayout() const override { return Layout::HWC; }
   Layout outputLayout() const override { return Layout::HWC; }
@@ -267,9 +251,6 @@ public:
         S, std::static_pointer_cast<const HwcGemmPrepared>(
                std::move(Prepared)));
   }
-
-private:
-  GemmVariant Variant;
 };
 
 //===----------------------------------------------------------------------===//
@@ -359,10 +340,8 @@ public:
 } // namespace
 
 void primsel::registerHwcLibrary(PrimitiveLibrary &Lib) {
-  Lib.add(std::make_unique<HwcIm2RowPrimitive>(GemmVariant::Blocked));
-  Lib.add(std::make_unique<HwcIm2RowPrimitive>(GemmVariant::TransposedB));
-  Lib.add(std::make_unique<HwcPointwisePrimitive>(GemmVariant::Blocked));
-  Lib.add(std::make_unique<HwcPointwisePrimitive>(GemmVariant::TransposedB));
+  Lib.add(std::make_unique<HwcIm2RowPrimitive>());
+  Lib.add(std::make_unique<HwcPointwisePrimitive>());
   Lib.add(std::make_unique<HwcDirectPrimitive>());
 }
 

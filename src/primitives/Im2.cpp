@@ -271,14 +271,10 @@ void primsel::registerIm2Family(PrimitiveLibrary &Lib) {
        "im2col-b-chw-hwc"},
       {true, GemmVariant::Blocked, Layout::HWC, Layout::HWC,
        "im2row-b-hwc-hwc"},
-      {true, GemmVariant::TransposedB, Layout::HWC, Layout::HWC,
-       "im2row-bt-hwc-hwc"},
       {true, GemmVariant::Naive, Layout::HWC, Layout::HWC,
        "im2row-n-hwc-hwc"},
       {true, GemmVariant::Blocked, Layout::CHW, Layout::HWC,
        "im2row-b-chw-hwc"},
-      {true, GemmVariant::TransposedB, Layout::CHW, Layout::HWC,
-       "im2row-bt-chw-hwc"},
       {true, GemmVariant::Blocked, Layout::HWC, Layout::CHW,
        "im2row-b-hwc-chw"},
       {false, GemmVariant::Naive, Layout::HWC, Layout::CHW,

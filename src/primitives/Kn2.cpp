@@ -233,8 +233,6 @@ void primsel::registerKn2Family(PrimitiveLibrary &Lib) {
        "kn2row-as-b-chw-hwc"},
       {true, true, GemmVariant::Blocked, Layout::HWC, Layout::HWC,
        "kn2col-as-b-hwc-hwc"},
-      {true, true, GemmVariant::TransposedB, Layout::HWC, Layout::HWC,
-       "kn2col-as-bt-hwc-hwc"},
       {false, false, GemmVariant::TransposedB, Layout::HWC, Layout::CHW,
        "kn2row-full-bt-hwc-chw"},
       {true, true, GemmVariant::Blocked, Layout::HWC, Layout::CHW,

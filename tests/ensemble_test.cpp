@@ -61,7 +61,7 @@ TEST(EnsembleLibrary, TagPartitionCoversLibrary) {
 TEST(EnsembleLibrary, HwcnnRoutineCountAndFamilies) {
   const PrimitiveLibrary &Lib = ensembleLibrary();
   std::vector<PrimitiveId> Hwc = Lib.withTag("hwcnn");
-  EXPECT_EQ(Hwc.size(), 5u);
+  EXPECT_EQ(Hwc.size(), 3u);
   for (PrimitiveId Id : Hwc) {
     const ConvPrimitive &P = Lib.get(Id);
     EXPECT_EQ(P.inputLayout(), Layout::HWC) << P.name();
@@ -74,9 +74,9 @@ TEST(EnsembleLibrary, HwcnnRoutineCountAndFamilies) {
 
 TEST(EnsembleLibrary, StandaloneHwcLibraryKeepsBaseline) {
   PrimitiveLibrary Lib = buildHwcLibrary();
-  // sum2d + 5 vendor routines; the baseline keeps speedup reports
+  // sum2d + 3 vendor routines; the baseline keeps speedup reports
   // comparable across libraries.
-  EXPECT_EQ(Lib.size(), 6u);
+  EXPECT_EQ(Lib.size(), 4u);
   EXPECT_EQ(Lib.get(Lib.sum2dBaseline()).family(), ConvFamily::Sum2D);
 }
 
@@ -119,7 +119,7 @@ TEST_P(HwcCorrectnessTest, MatchesReference) {
     EXPECT_LE(maxAbsDifference(OutCHW, Ref), Tol) << P.name();
   }
   // Every scenario in the sweep is at least coverable by im2row + direct.
-  EXPECT_GE(Tested, 3u);
+  EXPECT_GE(Tested, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
