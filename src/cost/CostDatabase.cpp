@@ -12,13 +12,28 @@
 using namespace primsel;
 
 std::string CostDatabase::convKey(const ConvScenario &S,
-                                  const std::string &PrimName,
-                                  unsigned Threads) {
-  std::string Key = S.key() + "|" + PrimName;
-  if (Threads != 0)
-    Key += "|t" + std::to_string(Threads);
-  return Key;
+                                  const std::string &PrimName) {
+  return S.key() + "|" + PrimName;
 }
+
+std::string CostDatabase::runKey(const ConvScenario &S,
+                                 const std::string &PrimName,
+                                 unsigned Threads) {
+  assert(Threads >= 1 && "a run record needs its thread count");
+  return convKey(S, PrimName) + "|t" + std::to_string(Threads);
+}
+
+namespace {
+
+/// True when a conv run key ends in its "|tN" thread-count suffix.
+bool hasThreadSuffix(const std::string &Key) {
+  size_t Bar = Key.rfind('|');
+  return Bar != std::string::npos && Bar + 2 < Key.size() &&
+         Key[Bar + 1] == 't' &&
+         Key.find_first_not_of("0123456789", Bar + 2) == std::string::npos;
+}
+
+} // namespace
 
 std::string CostDatabase::transformKey(Layout From, Layout To,
                                        const TensorShape &Shape) {
@@ -31,13 +46,13 @@ std::string CostDatabase::transformKey(Layout From, Layout To,
 bool CostDatabase::hasConvCost(const ConvScenario &S,
                                const std::string &PrimName,
                                unsigned Threads) const {
-  return ConvCosts.count(convKey(S, PrimName, Threads)) != 0;
+  return ConvCosts.count(runKey(S, PrimName, Threads)) != 0;
 }
 
 double CostDatabase::convCost(const ConvScenario &S,
                               const std::string &PrimName,
                               unsigned Threads) const {
-  auto It = ConvCosts.find(convKey(S, PrimName, Threads));
+  auto It = ConvCosts.find(runKey(S, PrimName, Threads));
   assert(It != ConvCosts.end() && "conv cost not in database");
   return It->second;
 }
@@ -45,7 +60,7 @@ double CostDatabase::convCost(const ConvScenario &S,
 void CostDatabase::setConvCost(const ConvScenario &S,
                                const std::string &PrimName, double Millis,
                                unsigned Threads) {
-  ConvCosts[convKey(S, PrimName, Threads)] = Millis;
+  ConvCosts[runKey(S, PrimName, Threads)] = Millis;
 }
 
 bool CostDatabase::hasTransformCost(Layout From, Layout To,
@@ -126,12 +141,14 @@ bool CostDatabase::load(const std::string &Path) {
     double Millis;
     if (!(LS >> Kind >> Key >> Millis))
       continue;
-    if (Kind == "conv")
-      ConvCosts[Key] = Millis;
-    else if (Kind == "dt")
+    if (Kind == "conv") {
+      if (hasThreadSuffix(Key))
+        ConvCosts[Key] = Millis;
+    } else if (Kind == "dt") {
       TransformCosts[Key] = Millis;
-    else if (Kind == "prep")
+    } else if (Kind == "prep") {
       PrepareCosts[Key] = Millis;
+    }
     // Unknown kinds are skipped for forward compatibility.
   }
   return true;

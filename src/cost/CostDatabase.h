@@ -27,19 +27,17 @@ namespace primsel {
 /// Conv and transform cost tables, serializable to a text file.
 class CostDatabase {
 public:
-  /// Run cost of (S, primitive name). \p Threads == 0 is the un-suffixed
-  /// record, which holds the profiler's configured thread count. Any
-  /// other count, 1 included, is a thread-keyed record for the solver's
-  /// thread-count dimension, with a "|tN" key suffix -- so an explicit
-  /// 1-thread time never overwrites or answers for a multi-threaded
-  /// profiler's configured-count record. (load() merges by opaque key, so
-  /// older readers carry the suffixed records along harmlessly.)
+  /// Run cost of (S, primitive name) measured with \p Threads workers
+  /// (>= 1; asserted). Every run record carries its count as a "|tN" key
+  /// suffix, so a time measured at one count never answers a query at
+  /// another -- whatever count the profiler that saved the table was
+  /// configured with.
   bool hasConvCost(const ConvScenario &S, const std::string &PrimName,
-                   unsigned Threads = 0) const;
+                   unsigned Threads) const;
   double convCost(const ConvScenario &S, const std::string &PrimName,
-                  unsigned Threads = 0) const;
+                  unsigned Threads) const;
   void setConvCost(const ConvScenario &S, const std::string &PrimName,
-                   double Millis, unsigned Threads = 0);
+                   double Millis, unsigned Threads);
 
   bool hasTransformCost(Layout From, Layout To,
                         const TensorShape &Shape) const;
@@ -64,13 +62,19 @@ public:
 
   /// Write every entry to \p Path; returns false on I/O failure.
   bool save(const std::string &Path) const;
-  /// Merge entries from \p Path; returns false if unreadable.
+  /// Merge entries from \p Path; returns false if unreadable. Conv run
+  /// records without a "|tN" suffix (written by older versions, which
+  /// stored the profiler's configured count there without recording it)
+  /// are skipped: their count is unknown, so they are measured again.
   bool load(const std::string &Path);
 
 private:
+  /// (S, primitive name): the prepare record's key, and the run record's
+  /// before its "|tN" suffix.
   static std::string convKey(const ConvScenario &S,
-                             const std::string &PrimName,
-                             unsigned Threads = 0);
+                             const std::string &PrimName);
+  static std::string runKey(const ConvScenario &S,
+                            const std::string &PrimName, unsigned Threads);
   static std::string transformKey(Layout From, Layout To,
                                   const TensorShape &Shape);
 

@@ -131,8 +131,9 @@ double MeasuredCostProvider::measurePrepare(const ConvScenario &S,
 
 CostBreakdown MeasuredCostProvider::cost(const CostQuery &Q) {
   const std::string &Name = Lib.get(Q.Id).name();
-  // The configured count owns the un-suffixed record (Threads 0).
-  unsigned Threads = Q.Threads == Options.Threads ? 0 : Q.Threads;
+  // Every record is keyed by the count it was measured at, so a table
+  // saved by a provider configured for one count never prices another.
+  unsigned Threads = Q.Threads ? Q.Threads : Options.Threads;
   if (!Cache.hasConvCost(Q.S, Name, Threads)) {
     CostBreakdown M = measureConv(Q.S, Q.Id, Threads);
     Cache.setConvCost(Q.S, Name, M.PerRunMs, Threads);
@@ -159,5 +160,5 @@ double MeasuredCostProvider::transformCost(Layout From, Layout To,
 }
 
 std::string MeasuredCostProvider::identity() const {
-  return "measured-v2:t" + std::to_string(Options.Threads);
+  return "measured-v3:t" + std::to_string(Options.Threads);
 }

@@ -47,10 +47,9 @@ public:
                        const ProfilerOptions &Options = {});
 
   /// PerRunMs is the memoized run measurement under a pool of Q.Threads
-  /// workers. Q.Threads == 0 or Options.Threads reads the un-suffixed
-  /// record; any other count, 1 included, reads its own "|tN" record
-  /// (CostDatabase::convCost), measured under a pool created per
-  /// distinct count. AmortizedMs is the measured prepare() time, taken
+  /// workers (Q.Threads == 0 means Options.Threads), read from and stored
+  /// in that count's "|tN" record (CostDatabase::convCost) and measured
+  /// under a pool created per distinct count. AmortizedMs is the measured prepare() time, taken
   /// during the first run measurement and memoized as a "prep" record
   /// shared across thread counts. Unlike the analytic model's totals,
   /// which contain the transform work in one modelled figure, totalMs()
@@ -58,9 +57,12 @@ public:
   CostBreakdown cost(const CostQuery &Q) override;
   double transformCost(Layout From, Layout To,
                        const TensorShape &Shape) override;
-  /// "measured-v2:t<threads>" -- measured costs are host-specific, so plan
+  /// "measured-v3:t<threads>" -- measured costs are host-specific, so plan
   /// caches built from them must not be shipped across machines. (v2: the
-  /// one-shot total includes the measured prepare() time.)
+  /// one-shot total includes the measured prepare() time. v3: every run
+  /// record is keyed by its thread count, so no plan solved from a v2
+  /// table, whose configured-count records did not say their count, is
+  /// served.)
   std::string identity() const override;
 
   /// Measure one primitive on one scenario (no cache involvement): the

@@ -383,7 +383,7 @@ TEST(AtomicWrites, CostDatabaseSaveLeavesNoTempAndRoundTripsPrepRecords) {
   S.W = 8;
   S.K = 3;
   S.M = 4;
-  DB.setConvCost(S, "sum2d", 1.5);
+  DB.setConvCost(S, "sum2d", 1.5, 1);
   DB.setPrepareCost(S, "wino2d-m4r3-vf8-chw-chw", 0.25);
   ASSERT_TRUE(DB.save(Path));
 
@@ -400,7 +400,7 @@ TEST(AtomicWrites, CostDatabaseSaveLeavesNoTempAndRoundTripsPrepRecords) {
   EXPECT_EQ(Loaded.numPrepareEntries(), 1u);
   ASSERT_TRUE(Loaded.hasPrepareCost(S, "wino2d-m4r3-vf8-chw-chw"));
   EXPECT_DOUBLE_EQ(Loaded.prepareCost(S, "wino2d-m4r3-vf8-chw-chw"), 0.25);
-  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "sum2d"), 1.5);
+  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "sum2d", 1), 1.5);
   std::filesystem::remove_all(Dir);
 }
 

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 using namespace primsel;
 
@@ -158,17 +159,17 @@ TEST(AnalyticProvider, ImplementsCostProvider) {
 TEST(CostDatabase, SetGetHas) {
   CostDatabase DB;
   ConvScenario S{16, 14, 14, 1, 3, 16, 1};
-  EXPECT_FALSE(DB.hasConvCost(S, "sum2d"));
-  DB.setConvCost(S, "sum2d", 1.25);
-  EXPECT_TRUE(DB.hasConvCost(S, "sum2d"));
-  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 1.25);
-  DB.setConvCost(S, "sum2d", 2.0); // overwrite
-  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 2.0);
-  // An explicit thread count, 1 included, is a record of its own.
   EXPECT_FALSE(DB.hasConvCost(S, "sum2d", 1));
-  DB.setConvCost(S, "sum2d", 3.0, 1);
-  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 1), 3.0);
-  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d"), 2.0);
+  DB.setConvCost(S, "sum2d", 1.25, 1);
+  EXPECT_TRUE(DB.hasConvCost(S, "sum2d", 1));
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 1), 1.25);
+  DB.setConvCost(S, "sum2d", 2.0, 1); // overwrite
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 1), 2.0);
+  // Each thread count is a record of its own.
+  EXPECT_FALSE(DB.hasConvCost(S, "sum2d", 4));
+  DB.setConvCost(S, "sum2d", 3.0, 4);
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 4), 3.0);
+  EXPECT_DOUBLE_EQ(DB.convCost(S, "sum2d", 1), 2.0);
 }
 
 TEST(CostDatabase, TransformEntries) {
@@ -184,8 +185,8 @@ TEST(CostDatabase, TransformEntries) {
 TEST(CostDatabase, SaveLoadRoundTrip) {
   CostDatabase DB;
   ConvScenario S{16, 14, 14, 1, 3, 16, 1};
-  DB.setConvCost(S, "sum2d", 1.5);
-  DB.setConvCost(S, "im2col-b-chw-chw", 0.25);
+  DB.setConvCost(S, "sum2d", 1.5, 1);
+  DB.setConvCost(S, "im2col-b-chw-chw", 0.25, 2);
   DB.setTransformCost(Layout::CHW, Layout::HWC, {16, 14, 14}, 0.125);
 
   std::string Path = ::testing::TempDir() + "/primsel_costdb_test.txt";
@@ -194,9 +195,29 @@ TEST(CostDatabase, SaveLoadRoundTrip) {
   ASSERT_TRUE(Loaded.load(Path));
   EXPECT_EQ(Loaded.numConvEntries(), 2u);
   EXPECT_EQ(Loaded.numTransformEntries(), 1u);
-  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "sum2d"), 1.5);
+  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "sum2d", 1), 1.5);
+  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "im2col-b-chw-chw", 2), 0.25);
   EXPECT_DOUBLE_EQ(
       Loaded.transformCost(Layout::CHW, Layout::HWC, {16, 14, 14}), 0.125);
+  std::remove(Path.c_str());
+}
+
+TEST(CostDatabase, LoadSkipsRunRecordsWithoutThreadCount) {
+  // Older tables stored the profiler's configured count in an un-suffixed
+  // run record that does not say which count it was. Such a record must
+  // answer no count, so load() drops it and it is measured again.
+  ConvScenario S{16, 14, 14, 1, 3, 16, 1};
+  std::string Path = ::testing::TempDir() + "/primsel_costdb_old.txt";
+  {
+    std::ofstream Out(Path);
+    Out << "conv " << S.key() << "|sum2d 1.5\n";
+    Out << "conv " << S.key() << "|sum2d|t4 2.5\n";
+  }
+  CostDatabase Loaded;
+  ASSERT_TRUE(Loaded.load(Path));
+  EXPECT_EQ(Loaded.numConvEntries(), 1u);
+  EXPECT_FALSE(Loaded.hasConvCost(S, "sum2d", 1));
+  EXPECT_DOUBLE_EQ(Loaded.convCost(S, "sum2d", 4), 2.5);
   std::remove(Path.c_str());
 }
 
@@ -216,7 +237,7 @@ TEST(Profiler, MeasuresAndCaches) {
   EXPECT_GT(C1, 0.0);
   // Second query must come from the cache: identical value.
   EXPECT_DOUBLE_EQ(Prov.cost({S, Id}).PerRunMs, C1);
-  EXPECT_TRUE(Prov.database().hasConvCost(S, "im2col-b-chw-chw"));
+  EXPECT_TRUE(Prov.database().hasConvCost(S, "im2col-b-chw-chw", 1));
   EXPECT_TRUE(Prov.database().hasPrepareCost(S, "im2col-b-chw-chw"));
 }
 
@@ -231,19 +252,49 @@ TEST(Profiler, ExplicitOneThreadTimesKeepTheirOwnRecord) {
   PrimitiveId Id = *lib().findByName(Name);
 
   // A 1-thread query on a 4-thread profiler lands in its own record, not
-  // in the un-suffixed one that holds the configured-count time.
+  // in the one that holds the configured-count time.
   EXPECT_GT(Prov.cost({S, Id, 1}).PerRunMs, 0.0);
   EXPECT_TRUE(Prov.database().hasConvCost(S, Name, 1));
-  EXPECT_FALSE(Prov.database().hasConvCost(S, Name));
+  EXPECT_FALSE(Prov.database().hasConvCost(S, Name, 4));
 
   // The configured count is measured separately: it neither reads nor
   // overwrites the 1-thread record (marked here with a sentinel).
   Prov.database().setConvCost(S, Name, 1000.0, 1);
   double Configured = Prov.cost({S, Id}).PerRunMs;
-  EXPECT_TRUE(Prov.database().hasConvCost(S, Name));
+  EXPECT_TRUE(Prov.database().hasConvCost(S, Name, 4));
   EXPECT_LT(Configured, 1000.0);
   EXPECT_DOUBLE_EQ(Prov.cost({S, Id, 4}).PerRunMs, Configured);
   EXPECT_DOUBLE_EQ(Prov.cost({S, Id, 1}).PerRunMs, 1000.0);
+}
+
+TEST(Profiler, TableSavedAtOneThreadDoesNotPriceFourThreads) {
+  // optimize --measured --threads 1 --costs T, then the same command at
+  // --threads 4: the 4-thread provider must measure its own count rather
+  // than read the 1-thread time the first run saved.
+  ConvScenario S{4, 10, 10, 1, 3, 4, 1};
+  const std::string Name = "im2col-b-chw-chw";
+  PrimitiveId Id = *lib().findByName(Name);
+  std::string Path = ::testing::TempDir() + "/primsel_costs_threads.txt";
+
+  ProfilerOptions Opts;
+  Opts.Repeats = 1;
+  Opts.Warmups = 0;
+  {
+    MeasuredCostProvider One(lib(), Opts);
+    EXPECT_GT(One.cost({S, Id}).PerRunMs, 0.0);
+    // A sentinel no real measurement reaches marks the saved time.
+    One.database().setConvCost(S, Name, 1000.0, 1);
+    ASSERT_TRUE(One.database().save(Path));
+  }
+
+  Opts.Threads = 4;
+  MeasuredCostProvider Four(lib(), Opts);
+  ASSERT_TRUE(Four.database().load(Path));
+  EXPECT_LT(Four.cost({S, Id}).PerRunMs, 1000.0);
+  EXPECT_LT(Four.cost({S, Id, 4}).PerRunMs, 1000.0);
+  // The saved record still answers the count it was measured at.
+  EXPECT_DOUBLE_EQ(Four.cost({S, Id, 1}).PerRunMs, 1000.0);
+  std::remove(Path.c_str());
 }
 
 TEST(Profiler, LoadedRunRecordWithoutPrepareMeasuresOnlyPrepare) {
@@ -257,7 +308,7 @@ TEST(Profiler, LoadedRunRecordWithoutPrepareMeasuresOnlyPrepare) {
   // A table saved before one-shot costs included prepare() has run
   // records only: the run record is served as loaded and only the
   // prepare time is measured.
-  Prov.database().setConvCost(S, Name, 1000.0);
+  Prov.database().setConvCost(S, Name, 1000.0, 1);
   CostBreakdown B = Prov.cost({S, Id});
   EXPECT_DOUBLE_EQ(B.PerRunMs, 1000.0);
   EXPECT_GT(B.AmortizedMs, 0.0);

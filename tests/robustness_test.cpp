@@ -252,7 +252,7 @@ TEST(Robustness, CostDatabaseToleratesJunkLines) {
   {
     std::FILE *F = std::fopen(Path.c_str(), "w");
     ASSERT_NE(F, nullptr);
-    std::fputs("conv c1_h1_w1_s1_k1_m1_p1|sum2d 1.5\n", F);
+    std::fputs("conv c1_h1_w1_s1_k1_m1_p1|sum2d|t1 1.5\n", F);
     std::fputs("garbage line that is not a record 0\n", F);
     std::fputs("dt CHW>HWC|c1_h2_w3 0.25\n", F);
     std::fclose(F);
@@ -260,7 +260,7 @@ TEST(Robustness, CostDatabaseToleratesJunkLines) {
   CostDatabase DB;
   EXPECT_TRUE(DB.load(Path));
   ConvScenario S{1, 1, 1, 1, 1, 1, 1};
-  EXPECT_TRUE(DB.hasConvCost(S, "sum2d"));
+  EXPECT_TRUE(DB.hasConvCost(S, "sum2d", 1));
   EXPECT_TRUE(DB.hasTransformCost(Layout::CHW, Layout::HWC, {1, 2, 3}));
   std::remove(Path.c_str());
 }
