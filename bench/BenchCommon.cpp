@@ -3,13 +3,16 @@
 #include "BenchCommon.h"
 
 #include "engine/Engine.h"
+#include "gemm/MicroKernel.h"
 #include "support/Parse.h"
 #include "support/Stats.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <thread>
 
 using namespace primsel;
 using namespace primsel::bench;
@@ -48,6 +51,30 @@ std::string quote(const std::string &Text) {
     }
   }
   return Out + "\"";
+}
+
+/// The first "model name" in /proc/cpuinfo, or "unknown".
+std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line)) {
+    size_t Colon = Line.find(':');
+    if (Line.rfind("model name", 0) != 0 || Colon == std::string::npos)
+      continue;
+    size_t Begin = Line.find_first_not_of(" \t", Colon + 1);
+    return Begin == std::string::npos ? "unknown" : Line.substr(Begin);
+  }
+  return "unknown";
+}
+
+/// What a record's timings were measured on. The tier is the active one,
+/// so it reflects a PRIMSEL_SIMD cap.
+JsonObject hostDescriptor() {
+  return JsonObject()
+      .set("cpu_model", cpuModel())
+      .set("simd_tier",
+           gemm::simdTierName(gemm::activeMicroKernel().Tier))
+      .set("hardware_threads", std::thread::hardware_concurrency());
 }
 
 } // namespace
@@ -128,7 +155,9 @@ void primsel::bench::writeBenchJson(const JsonObject &Root,
     std::fprintf(stderr, "warning: could not write %s\n", Path.c_str());
     return;
   }
-  std::fputs(Root.renderDocument().c_str(), F);
+  JsonObject Doc = Root;
+  Doc.set("host", hostDescriptor());
+  std::fputs(Doc.renderDocument().c_str(), F);
   std::fclose(F);
   std::printf("# wrote %s\n", Path.c_str());
 }

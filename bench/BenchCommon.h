@@ -158,7 +158,9 @@ private:
 };
 
 /// Write \p Root's document rendering to PRIMSEL_BENCH_JSON, or else to
-/// \p DefaultPath; warn on stderr when the file cannot be written.
+/// \p DefaultPath, with a top-level "host" object appended: cpu_model,
+/// simd_tier (the active GEMM tier) and hardware_threads. Warn on stderr
+/// when the file cannot be written.
 void writeBenchJson(const JsonObject &Root, const char *DefaultPath);
 
 } // namespace bench
