@@ -4,6 +4,7 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace primsel;
@@ -43,47 +44,53 @@ private:
   std::unique_ptr<ConvInstance> Base;
 };
 
-/// Image-parallel schedule: the pool distributes whole images; each image
-/// runs single-threaded ("minibatch parallelism"). Base instances keep
-/// per-run scratch state, so each concurrent image needs its own instance
-/// -- but all slots bind the one shared PreparedKernel, so the weight
-/// packing is no longer duplicated per image.
+/// Image-parallel schedule: images spread over lanes, each image running
+/// single-threaded ("minibatch parallelism"). A K-image batch uses
+/// min(K, pool width, RunContext::MaxThreads when set) lanes, so the plan's
+/// per-node thread count caps it like any routine; image I runs on lane
+/// I mod lanes. Base instances keep per-run scratch, so each lane binds
+/// its own -- on first use, all from the one shared PreparedKernel.
 class ImageParallelInstance : public ConvInstance {
 public:
   ImageParallelInstance(const ConvPrimitive &BasePrim, const ConvScenario &S,
-                        std::shared_ptr<const PreparedKernel> Prepared) {
-    // One instance per image slot; slot count is bounded by the batch.
-    Instances.reserve(static_cast<size_t>(S.Batch));
-    ConvScenario PerImage = S.singleImage();
-    for (int64_t I = 0; I < S.Batch; ++I)
-      Instances.push_back(BasePrim.bind(PerImage, Prepared));
+                        std::shared_ptr<const PreparedKernel> Prepared)
+      : BasePrim(BasePrim), PerImage(S.singleImage()),
+        Prepared(std::move(Prepared)) {
+    Lanes.push_back(BasePrim.bind(PerImage, this->Prepared));
   }
 
   void run(const Tensor3D &In, Tensor3D &Out, const RunContext &Ctx) override {
-    Instances.front()->run(In, Out, Ctx);
+    Lanes.front()->run(In, Out, Ctx);
   }
 
   void runBatch(const std::vector<Tensor3D> &In, std::vector<Tensor3D> &Out,
                 const RunContext &Ctx) override {
     assert(In.size() == Out.size() && "batch size mismatch");
-    assert(In.size() <= Instances.size() && "batch exceeds instance slots");
+    size_t Width = Ctx.Pool ? Ctx.Pool->numThreads() : 1;
+    if (Ctx.MaxThreads > 0)
+      Width = std::min(Width, static_cast<size_t>(Ctx.MaxThreads));
+    size_t NumLanes = std::max<size_t>(1, std::min(In.size(), Width));
+    while (Lanes.size() < NumLanes)
+      Lanes.push_back(BasePrim.bind(PerImage, Prepared));
+
     RunContext SingleThreaded; // no pool: images must not nest parallelism
-    if (Ctx.Pool && Ctx.Pool->numThreads() > 1) {
-      Ctx.Pool->parallelFor(0, static_cast<int64_t>(In.size()),
-                            [&](int64_t I) {
-                              Instances[static_cast<size_t>(I)]->run(
-                                  In[static_cast<size_t>(I)],
-                                  Out[static_cast<size_t>(I)],
-                                  SingleThreaded);
-                            });
+    auto RunLane = [&](int64_t L) {
+      for (size_t I = static_cast<size_t>(L); I < In.size(); I += NumLanes)
+        Lanes[static_cast<size_t>(L)]->run(In[I], Out[I], SingleThreaded);
+    };
+    if (NumLanes == 1) {
+      RunLane(0);
       return;
     }
-    for (size_t I = 0; I < In.size(); ++I)
-      Instances[I]->run(In[I], Out[I], SingleThreaded);
+    Ctx.Pool->parallelFor(0, static_cast<int64_t>(NumLanes), RunLane,
+                          static_cast<int>(NumLanes));
   }
 
 private:
-  std::vector<std::unique_ptr<ConvInstance>> Instances;
+  const ConvPrimitive &BasePrim;
+  ConvScenario PerImage;
+  std::shared_ptr<const PreparedKernel> Prepared;
+  std::vector<std::unique_ptr<ConvInstance>> Lanes;
 };
 
 } // namespace

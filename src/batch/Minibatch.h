@@ -18,9 +18,9 @@
 ///  - layer-parallel ("@bser"): images run serially; each image uses the
 ///    run context's thread pool inside the primitive (the paper's "parallel
 ///    GEMM" alternative);
-///  - image-parallel ("@bpar"): images are distributed across the pool;
-///    each image runs a single-threaded primitive ("minibatch
-///    parallelism").
+///  - image-parallel ("@bpar"): images are distributed across the pool,
+///    over at most RunContext::MaxThreads lanes; each image runs a
+///    single-threaded primitive ("minibatch parallelism").
 ///
 /// Which schedule wins depends on the layer: big layers saturate the cores
 /// from inside one image, while small layers amortize parallelization

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "batch/Minibatch.h"
 #include "primitives/Reference.h"
 #include "primitives/Registry.h"
 
@@ -304,9 +305,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // RunContext::MaxThreads is the plan's per-node worker count: a routine
 // capped at 1 must run on the calling thread alone, whatever the pool, and
-// every cap gives the same bytes.
+// every cap gives the same bytes. Every routine runs one image; every §8
+// minibatch wrapper runs a 3-image batch through runBatch, where @bpar
+// spreads the images over min(K, pool width, cap) lanes.
 TEST(ThreadCap, EveryRoutineHonoursMaxThreads) {
-  const PrimitiveLibrary &Lib = ensembleLibrary();
+  static const PrimitiveLibrary Batched = buildBatchedLibrary();
   ConvScenario Depthwise{16, 12, 12, 1, 3, 16, 1};
   Depthwise.Depthwise = true;
   const ConvScenario Scenarios[] = {
@@ -317,33 +320,50 @@ TEST(ThreadCap, EveryRoutineHonoursMaxThreads) {
       Depthwise,
   };
   ThreadPool Pool(4);
-  std::vector<bool> Ran(Lib.size(), false);
-  for (const ConvScenario &S : Scenarios)
-    for (PrimitiveId Id : Lib.supporting(S)) {
-      const ConvPrimitive &P = Lib.get(Id);
-      Ran[Id] = true;
-      Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
-      InCHW.fillRandom(303);
-      Kernel4D W(S.M, S.kernelChannels(), S.K);
-      W.fillRandom(404);
-      Tensor3D In = convertToLayout(InCHW, P.inputLayout());
-      std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
+  for (int64_t K : {1, 3}) {
+    const PrimitiveLibrary &Lib = K == 1 ? ensembleLibrary() : Batched;
+    std::vector<bool> Ran(Lib.size(), false);
+    for (ConvScenario S : Scenarios) {
+      S.Batch = K;
+      for (PrimitiveId Id : Lib.supporting(S)) {
+        const ConvPrimitive &P = Lib.get(Id);
+        Ran[Id] = true;
+        std::vector<Tensor3D> In;
+        for (int64_t I = 0; I < K; ++I) {
+          Tensor3D InCHW(S.C, S.H, S.W, Layout::CHW);
+          InCHW.fillRandom(303 + static_cast<uint64_t>(I));
+          In.push_back(convertToLayout(InCHW, P.inputLayout()));
+        }
+        Kernel4D W(S.M, S.kernelChannels(), S.K);
+        W.fillRandom(404);
+        std::unique_ptr<ConvInstance> Inst = P.instantiate(S, W);
 
-      std::vector<Tensor3D> Outs;
-      for (int Cap : {1, 2, 0}) {
-        Outs.emplace_back(S.M, S.outHeight(), S.outWidth(), P.outputLayout());
-        const uint64_t Before = Pool.workerChunks();
-        Inst->run(In, Outs.back(), RunContext{&Pool, Cap});
-        if (Cap == 1) {
-          EXPECT_EQ(Pool.workerChunks(), Before)
-              << P.name() << " on " << S.key() << " left the caller thread";
+        std::vector<std::vector<Tensor3D>> Outs;
+        for (int Cap : {1, 2, 0}) {
+          Outs.emplace_back();
+          for (int64_t I = 0; I < K; ++I)
+            Outs.back().emplace_back(S.M, S.outHeight(), S.outWidth(),
+                                     P.outputLayout());
+          const uint64_t Before = Pool.workerChunks();
+          Inst->runBatch(In, Outs.back(), RunContext{&Pool, Cap});
+          if (Cap == 1) {
+            EXPECT_EQ(Pool.workerChunks(), Before)
+                << P.name() << " on " << S.key() << " left the caller thread";
+          }
+        }
+        for (size_t I = 0; I < In.size(); ++I) {
+          EXPECT_TRUE(sameBytes(Outs[0][I], Outs[1][I]))
+              << P.name() << " on " << S.key() << " image " << I;
+          EXPECT_TRUE(sameBytes(Outs[0][I], Outs[2][I]))
+              << P.name() << " on " << S.key() << " image " << I;
         }
       }
-      EXPECT_TRUE(sameBytes(Outs[0], Outs[1])) << P.name() << " on " << S.key();
-      EXPECT_TRUE(sameBytes(Outs[0], Outs[2])) << P.name() << " on " << S.key();
     }
-  for (PrimitiveId Id = 0; Id < Lib.size(); ++Id)
-    EXPECT_TRUE(Ran[Id]) << Lib.get(Id).name() << " ran on no scenario";
+    for (PrimitiveId Id = 0; Id < Lib.size(); ++Id)
+      if (Lib.get(Id).supportsBatch(K)) {
+        EXPECT_TRUE(Ran[Id]) << Lib.get(Id).name() << " ran on no scenario";
+      }
+  }
 }
 
 TEST(Registry, LibraryHasMoreThan70Primitives) {
