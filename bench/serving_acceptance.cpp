@@ -737,8 +737,8 @@ void ladderSection(PoissonTraffic &T, Engine &Eng, Report &Rep) {
 
 void poissonSections(const BenchConfig &Config,
                      const PrimitiveLibrary &FullLib, Report &Rep) {
-  // The §8 minibatch wrappers must be in the library for bucket solves to
-  // choose @bser/@bpar.
+  // The §8 minibatch wrappers must be in the library for buckets to choose
+  // @bser/@bpar.
   PrimitiveLibrary Lib = buildBatchedLibrary();
   AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
   EngineOptions EOpts = servingOptions();

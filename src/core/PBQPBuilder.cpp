@@ -30,8 +30,7 @@ Layout altOutLayout(const PBQPFormulation &F, const PrimitiveLibrary &Lib,
 PBQPFormulation primsel::buildPBQP(
     const NetworkGraph &Net, const PrimitiveLibrary &Lib, CostProvider &Costs,
     DTTableCache &Tables, bool AmortizeWeightTransforms,
-    const std::vector<unsigned> &ThreadCandidates,
-    const std::vector<std::vector<PrimitiveId>> *RestrictConv) {
+    const std::vector<unsigned> &ThreadCandidates) {
   PBQPFormulation F;
   F.ConvAlternatives.resize(Net.numNodes());
   F.ConvAltThreads.resize(Net.numNodes());
@@ -59,21 +58,6 @@ PBQPFormulation primsel::buildPBQP(
       assert(!Prims.empty() &&
              "no primitive supports a conv scenario (the reference "
              "routines should)");
-      // Optional per-node narrowing (batch-bucket solves restrict each
-      // node to the anchor routine's minibatch schedules).
-      if (RestrictConv && N < RestrictConv->size() &&
-          !(*RestrictConv)[N].empty()) {
-        const std::vector<PrimitiveId> &Allowed = (*RestrictConv)[N];
-        Prims.erase(std::remove_if(Prims.begin(), Prims.end(),
-                                   [&](PrimitiveId Id) {
-                                     return std::find(Allowed.begin(),
-                                                      Allowed.end(),
-                                                      Id) == Allowed.end();
-                                   }),
-                    Prims.end());
-        assert(!Prims.empty() &&
-               "restriction removed every supporting primitive");
-      }
       // (primitive, threads) cross product, thread-major: the layout-side
       // helpers below index ConvAlternatives[N][Alt] directly, so the
       // repeated primitive entries keep them correct with no thread logic.
@@ -86,8 +70,8 @@ PBQPFormulation primsel::buildPBQP(
       unsigned I = 0;
       for (size_t TI = 0; TI < ThreadAxis.size(); ++TI)
         for (PrimitiveId Id : Prims) {
-          CostBreakdown B = Costs.cost({Node.Scenario, Id, QueryThreads[TI]});
-          V[I++] = AmortizeWeightTransforms ? B.PerRunMs : B.totalMs();
+          V[I++] = convNodeCost(Costs, Node.Scenario, Id, QueryThreads[TI],
+                                AmortizeWeightTransforms);
           Alts.push_back(Id);
           AltThreads.push_back(ThreadAxis[TI]);
         }
@@ -141,4 +125,11 @@ PBQPFormulation primsel::buildPBQP(
     }
   }
   return F;
+}
+
+double primsel::convNodeCost(CostProvider &Costs, const ConvScenario &S,
+                             PrimitiveId Prim, unsigned QueryThreads,
+                             bool AmortizeWeightTransforms) {
+  CostBreakdown B = Costs.cost({S, Prim, QueryThreads});
+  return AmortizeWeightTransforms ? B.PerRunMs : B.totalMs();
 }

@@ -65,21 +65,20 @@ struct PBQPFormulation {
 /// primitive's layouts do not depend on its worker count, so edge cost
 /// matrices replicate naturally across the thread axis and the PBQP
 /// structure is otherwise unchanged.
-///
-/// \p RestrictConv optionally narrows the selection space per conv node:
-/// when non-null, node N's primitive alternatives are the intersection of
-/// the library's supporting set and (*RestrictConv)[N] (an empty per-node
-/// list means unrestricted). The batch-bucket ladder uses this to solve
-/// each bucket over only the minibatch schedules of the anchor plan's
-/// routine, so the solver still chooses @bser/@bpar/threads per layer per
-/// bucket while every bucket computes the anchor's per-image function
-/// bit-for-bit. Asserts the intersection is non-empty for every conv node.
 PBQPFormulation
 buildPBQP(const NetworkGraph &Net, const PrimitiveLibrary &Lib,
           CostProvider &Costs, DTTableCache &Tables,
           bool AmortizeWeightTransforms = false,
-          const std::vector<unsigned> &ThreadCandidates = {},
-          const std::vector<std::vector<PrimitiveId>> *RestrictConv = nullptr);
+          const std::vector<unsigned> &ThreadCandidates = {});
+
+/// The PBQP node cost of alternative (\p Prim, \p QueryThreads) on \p S, as
+/// buildPBQP prices it: the per-inference component of the provider's
+/// breakdown in serving mode, the total otherwise. \p QueryThreads is a
+/// costQueryThreads value. Engine::compileBucket prices a bucket's
+/// schedules through the same function.
+double convNodeCost(CostProvider &Costs, const ConvScenario &S,
+                    PrimitiveId Prim, unsigned QueryThreads,
+                    bool AmortizeWeightTransforms);
 
 } // namespace primsel
 

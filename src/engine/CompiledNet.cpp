@@ -24,11 +24,17 @@ using namespace primsel;
 
 CompiledNet::CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
                          const PrimitiveLibrary &LibIn,
-                         const CompileOptions &Options)
+                         const CompileOptions &Options,
+                         std::shared_ptr<const CompiledNet> AnchorIn)
     : Net(NetIn), SelPlan(PlanIn), Lib(LibIn), Opts(Options),
       Program(ExecutionPlan::compile(Net, SelPlan, Lib)),
-      MPlan(planMemory(Net, SelPlan, Program)) {
+      MPlan(planMemory(Net, SelPlan, Program)), Anchor(std::move(AnchorIn)) {
   assert(isLegalized(SelPlan, Net) && "compiling requires a legalized plan");
+  if (Anchor) {
+    assert(Anchor->Net.numNodes() == Net.numNodes() &&
+           "a bucket runs its anchor's graph");
+    return; // a bucket binds its anchor's kernels and buffers
+  }
 
   Prepared.resize(Net.numNodes());
   FcWeights.resize(Net.numNodes());
@@ -78,7 +84,16 @@ CompiledNet::build(const NetworkGraph &Net, const NetworkPlan &Plan,
   // Not make_shared: the constructor is private, and a plain new keeps the
   // control block separate from the (large) artifact anyway.
   return std::shared_ptr<const CompiledNet>(
-      new CompiledNet(Net, Plan, Lib, Options));
+      new CompiledNet(Net, Plan, Lib, Options, nullptr));
+}
+
+std::shared_ptr<const CompiledNet>
+CompiledNet::buildBucket(std::shared_ptr<const CompiledNet> Anchor,
+                         const NetworkGraph &Net, const NetworkPlan &Plan) {
+  assert(Anchor && "a bucket needs its anchor");
+  const CompiledNet &A = *Anchor;
+  return std::shared_ptr<const CompiledNet>(
+      new CompiledNet(Net, Plan, A.Lib, A.Opts, std::move(Anchor)));
 }
 
 size_t CompiledNet::preparedBytes() const {
@@ -132,7 +147,8 @@ ExecutionContext::ExecutionContext(std::shared_ptr<const CompiledNet> CN,
     // schedule here. The epilogue bias stream is regenerated from the same
     // seed the one-shot path uses, so the computed function is identical.
     Instances[N] = bindWithEpilogue(
-        C.Lib.get(C.SelPlan.ConvPrim[N]), Node.Scenario, C.Prepared[N],
+        C.Lib.get(C.SelPlan.ConvPrim[N]), Node.Scenario,
+        C.weights().Prepared[N],
         C.Opts.WeightSeed + Node.BiasSeedId);
   }
 }
@@ -176,7 +192,7 @@ ExecutionContext::inputValues(NetworkGraph::NodeId Consumer,
 void ExecutionContext::runDummy(NetworkGraph::NodeId N, size_t Image,
                                 Tensor3D &Out, ThreadPool *PrimPool) {
   const NetworkGraph::Node &Node = Compiled->Net.node(N);
-  const AlignedBuffer &Weights = Compiled->FcWeights[N];
+  const AlignedBuffer &Weights = Compiled->weights().FcWeights[N];
   auto InputAt = [&](unsigned I) -> const Tensor3D & {
     return inputValues(N, I)[Image];
   };

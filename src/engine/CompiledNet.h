@@ -19,13 +19,17 @@
 ///    transformed once -- the amortized work);
 ///  - the fully-connected weight matrices and standalone bias vectors.
 ///
+/// A ladder bucket (engine/Ladder.h) is the one exception to the last two
+/// points: it holds its anchor and binds the anchor's kernels and buffers,
+/// so it prepares nothing and costs only its plan and arena template.
+///
 /// It is immutable after build() and safe to share across threads. The
 /// per-request state lives in ExecutionContext, the one interpreter of the
 /// compiled plan: its own arena slabs, value table, thread pool and
 /// cheaply-bound ConvInstances (instances carry per-run scratch, so each
 /// context binds its own from the shared PreparedKernels). A context runs
 /// 1 <= K <= capacity() images per pass, where capacity() is the batch the
-/// artifact was solved at -- a batch-1 artifact is served one image at a
+/// artifact was compiled at -- a batch-1 artifact is served one image at a
 /// time, a ladder bucket (engine/Ladder.h) K at a time through the §8
 /// minibatch schedules its plan picked. Any number of contexts serve one
 /// CompiledNet concurrently, and each computes bit-identically to the
@@ -105,13 +109,27 @@ public:
   const PrimitiveLibrary &library() const { return Lib; }
   const CompileOptions &options() const { return Opts; }
 
-  /// Bytes held by the prepared kernels plus the FC/bias weight buffers --
-  /// the artifact's weight-side footprint.
+  /// A batch bucket of \p Anchor (Engine::compileBucket): \p Plan over
+  /// \p Net, the anchor's graph at Scenario.Batch = B, whose conv nodes run
+  /// §8 minibatch wrappers of the anchor's routines. The bucket prepares
+  /// nothing: it holds \p Anchor and binds the anchor's PreparedKernels and
+  /// FC/bias buffers (a wrapper's kernel is its base routine's on the
+  /// per-image scenario), so it keeps them alive after every other
+  /// reference to the anchor is gone. Takes the anchor's library and
+  /// options.
+  static std::shared_ptr<const CompiledNet>
+  buildBucket(std::shared_ptr<const CompiledNet> Anchor,
+              const NetworkGraph &Net, const NetworkPlan &Plan);
+
+  /// Bytes held by this artifact's own prepared kernels plus FC/bias
+  /// weight buffers -- its weight-side footprint. 0 for a bucket, so a sum
+  /// over a ladder's rungs counts the anchor's kernels once.
   size_t preparedBytes() const;
-  /// Conv nodes whose kernels were prepared at compile time.
+  /// Conv nodes whose kernels this artifact prepared (0 for a bucket).
   unsigned numPreparedKernels() const;
   /// Wall-clock milliseconds build() spent in weight generation and
-  /// prepare() -- the one-time cost requests no longer pay.
+  /// prepare() -- the one-time cost requests no longer pay (0 for a
+  /// bucket).
   double prepareMillis() const { return PrepareMs; }
 
   /// A fresh, independent per-request context. Thread-safe: any number of
@@ -122,8 +140,15 @@ public:
 private:
   friend class ExecutionContext;
 
+  /// With a null \p AnchorIn, prepares every kernel; otherwise a bucket of
+  /// \p AnchorIn that prepares nothing.
   CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
-              const PrimitiveLibrary &LibIn, const CompileOptions &Options);
+              const PrimitiveLibrary &LibIn, const CompileOptions &Options,
+              std::shared_ptr<const CompiledNet> AnchorIn);
+
+  /// The artifact whose kernels and buffers this one runs: the anchor for
+  /// a bucket, itself otherwise.
+  const CompiledNet &weights() const { return Anchor ? *Anchor : *this; }
 
   NetworkGraph Net; ///< owned copy; the artifact is self-contained
   NetworkPlan SelPlan;
@@ -132,11 +157,15 @@ private:
   ExecutionPlan Program;
   MemoryPlan MPlan;
   double PrepareMs = 0.0;
+  /// A bucket's anchor (null otherwise); node ids match across the two.
+  std::shared_ptr<const CompiledNet> Anchor;
 
-  /// Per conv node: the shared weight-side artifact (null elsewhere).
+  /// Per conv node: the shared weight-side artifact (null elsewhere; empty
+  /// for a bucket).
   std::vector<std::shared_ptr<const PreparedKernel>> Prepared;
   /// Per node: FC weight matrices and standalone bias vectors, read-only
-  /// at run time and therefore shared by every context.
+  /// at run time and therefore shared by every context (empty for a
+  /// bucket).
   std::vector<AlignedBuffer> FcWeights;
 };
 
@@ -157,8 +186,8 @@ private:
 class ExecutionContext {
 public:
   /// \p Compiled may be any artifact: a batch-1 plan yields a capacity-1
-  /// context, a batch-bucket artifact (its graph solved at
-  /// Scenario.Batch == B) a capacity-B one.
+  /// context, a batch-bucket artifact (its graph at Scenario.Batch == B)
+  /// a capacity-B one.
   ExecutionContext(std::shared_ptr<const CompiledNet> Compiled,
                    const ExecutionContextOptions &Options);
   ~ExecutionContext();

@@ -222,61 +222,55 @@ Engine::compile(const NetworkGraph &Net, const SelectionResult &R,
   return CompiledNet::build(R.executionGraph(Net), R.Plan, Lib, Options);
 }
 
-namespace {
-
-/// FNV-1a over the anchor plan's per-node routine names -- the identity of
-/// the restriction a bucket solve runs under. It joins the bucket plan's
-/// cache key so a cached bucket plan is only ever served for the anchor
-/// whose routines it is pinned to.
-uint64_t anchorPlanFingerprint(const CompiledNet &Anchor) {
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](const std::string &S) {
-    for (char C : S) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-  };
-  const NetworkGraph &G = Anchor.graph();
-  for (NetworkGraph::NodeId N = 0; N < G.numNodes(); ++N) {
-    if (isDummyKind(G.node(N).L.Kind))
-      continue;
-    Mix(Anchor.library().get(Anchor.plan().ConvPrim[N]).name());
-    Mix("|");
-  }
-  return H;
-}
-
-} // namespace
-
 std::shared_ptr<const CompiledNet>
 Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
-                      int64_t Bucket, const CompileOptions &Options) {
+                      int64_t Bucket) {
   assert(Anchor && "compileBucket needs an anchor artifact");
   assert(&Anchor->library() == &Lib &&
          "the anchor must be compiled from this engine's library");
   if (Bucket <= 1)
     return Anchor;
 
-  // The bucket's problem: the anchor's execution graph (passes already
-  // applied when it was compiled) re-instantiated at Scenario.Batch = B.
+  // The anchor's execution graph (passes already applied when it was
+  // compiled) at Scenario.Batch = B, with the anchor's layouts and chains.
   NetworkGraph BNet = Anchor->graph();
   BNet.setBatch(Bucket);
+  NetworkPlan Plan = Anchor->plan();
 
-  // Restrict every conv node to the §8 minibatch wrappers of the anchor
-  // routine: the solver chooses the schedule (@bser/@bpar) and the thread
-  // count, never the routine -- which is what keeps every bucket's output
-  // bit-identical to the anchor, image by image.
-  std::vector<std::vector<PrimitiveId>> Restrict(BNet.numNodes());
-  for (NetworkGraph::NodeId N = 0; N < BNet.numNodes(); ++N) {
-    if (isDummyKind(BNet.node(N).L.Kind))
-      continue;
+  // Each conv node keeps the anchor's routine -- which is what makes every
+  // bucket bit-identical to the anchor, image by image -- and takes the
+  // cheapest of its §8 minibatch wrappers (@bser/@bpar) and thread counts
+  // under the node cost the PBQP formulation uses. Every alternative of a
+  // node has the same layouts, so the edges cannot change the choice. The
+  // scan runs thread-major, then in library order, keeping the first
+  // strict minimum, as the solver's alternative order does.
+  std::vector<unsigned> Axis =
+      normalizedThreadCandidates(Opts.ExecThreadCandidates);
+  std::vector<unsigned> QueryThreads = costQueryThreads(Axis);
+  Plan.ConvThreads.clear();
+  if (Axis.back() > 1)
+    Plan.ConvThreads.assign(BNet.numNodes(), 1);
+  for (NetworkGraph::NodeId N : BNet.convNodes()) {
     const ConvPrimitive &Base = Lib.get(Anchor->plan().ConvPrim[N]);
-    for (PrimitiveId Id = 0; Id < Lib.size(); ++Id) {
-      const auto *MB = dynamic_cast<const MinibatchPrimitive *>(&Lib.get(Id));
-      if (MB && &MB->base() == &Base)
-        Restrict[N].push_back(Id);
-    }
-    if (Restrict[N].empty()) {
+    const ConvScenario &S = BNet.node(N).Scenario;
+    bool Found = false;
+    double Best = 0.0;
+    for (size_t TI = 0; TI < Axis.size(); ++TI)
+      for (PrimitiveId Id = 0; Id < Lib.size(); ++Id) {
+        const auto *MB = dynamic_cast<const MinibatchPrimitive *>(&Lib.get(Id));
+        if (!MB || &MB->base() != &Base)
+          continue;
+        double Cost = convNodeCost(Cache, S, Id, QueryThreads[TI],
+                                   Opts.AmortizeWeightTransforms);
+        if (Found && !(Cost < Best))
+          continue;
+        Found = true;
+        Best = Cost;
+        Plan.ConvPrim[N] = Id;
+        if (!Plan.ConvThreads.empty())
+          Plan.ConvThreads[N] = Axis[TI];
+      }
+    if (!Found) {
       std::fprintf(stderr,
                    "primsel: no minibatch wrapper for '%s'; build the batch "
                    "ladder over buildBatchedLibrary()\n",
@@ -284,47 +278,7 @@ Engine::compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
       return nullptr;
     }
   }
-
-  PlanKey Key;
-  if (Plans) {
-    Key.NetworkFingerprint = fingerprintNetwork(BNet, Lib);
-    char Tag[64];
-    std::snprintf(Tag, sizeof(Tag), ":b%lld:anchor%016llx",
-                  static_cast<long long>(Bucket),
-                  static_cast<unsigned long long>(
-                      anchorPlanFingerprint(*Anchor)));
-    Key.CostIdentity = costIdentityFor(Cache, Opts) + Tag;
-    Key.SolverFingerprint = fingerprintSolver(Backend->name(),
-                                              Opts.SolverOptions);
-    Key.PassFingerprint = transforms::fingerprintPasses({});
-  }
-
-  NetworkPlan Plan;
-  if (Plans) {
-    if (std::optional<SelectionResult> Hit = Plans->lookup(Key, BNet, Lib))
-      Plan = std::move(Hit->Plan);
-  }
-  if (Plan.empty()) {
-    // Conv queries carry the bucket in their scenario; the DT tables and
-    // modelPlanCost weight every transform by BNet's batch, since a
-    // transform converts every image flowing along its edge.
-    DTTableCache Tables(Cache, BNet);
-    PBQPFormulation F = buildPBQP(
-        BNet, Lib, Cache, Tables, Opts.AmortizeWeightTransforms,
-        normalizedThreadCandidates(Opts.ExecThreadCandidates), &Restrict);
-    SelectionResult R;
-    R.Backend = Backend->name();
-    R.Solver = Backend->solve(F.G, Opts.SolverOptions);
-    R.Plan = planFromSolution(F, R.Solver.Selection, BNet, Lib, Tables);
-    if (R.Plan.empty())
-      return nullptr;
-    R.ModelledCostMs = modelPlanCost(R.Plan, BNet, Lib, Cache);
-    if (Plans)
-      Plans->store(Key, R, BNet, Lib);
-    Plan = std::move(R.Plan);
-  }
-
-  return CompiledNet::build(BNet, Plan, Lib, Options);
+  return CompiledNet::buildBucket(Anchor, BNet, Plan);
 }
 
 std::shared_ptr<CompiledNetLadder>
@@ -343,17 +297,17 @@ Engine::compileLadder(const NetworkGraph &Net, const LadderOptions &Options) {
     Buckets.insert(Buckets.begin(), 1);
 
   // The anchor: the model solved and compiled at batch 1 through the full
-  // engine pipeline (passes included); buckets re-solve its execution
-  // graph, so rewrites happen exactly once per ladder.
+  // engine pipeline (passes included); buckets derive from its execution
+  // graph and plan, so rewrites and the solve happen exactly once per
+  // ladder.
   NetworkGraph Anchor = Net;
   Anchor.setBatch(1);
-  std::shared_ptr<const CompiledNet> Bucket1 = compile(Anchor, Options.Compile);
+  std::shared_ptr<const CompiledNet> Bucket1 = compile(Anchor);
   if (!Bucket1)
     return nullptr;
 
-  auto Compiler = [this, Bucket1,
-                   BucketCompile = Options.Compile](int64_t B) {
-    return compileBucket(Bucket1, B, BucketCompile);
+  auto Compiler = [this, Bucket1](int64_t B) {
+    return compileBucket(Bucket1, B);
   };
   return std::make_shared<CompiledNetLadder>(std::move(Buckets), Bucket1,
                                              std::move(Compiler),

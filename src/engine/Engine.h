@@ -145,31 +145,30 @@ public:
 
   /// Batch-ladder entry point (engine/Ladder.h): normalize \p Net to batch
   /// 1, optimize and compile the anchor artifact, and build the bucket
-  /// ladder over it. Each remaining bucket is compiled by compileBucket --
+  /// ladder over it. Each remaining bucket is derived by compileBucket --
   /// on the ladder's background thread (LadderOptions::Background) or
   /// synchronously in this call. Requires a library with the §8 minibatch
   /// wrappers (batch/Minibatch.h buildBatchedLibrary); returns null when
   /// the anchor fails to optimize. The engine must outlive the ladder, and
   /// while a background ladder is live the ladder's thread must be the
-  /// engine's only user (compiles re-enter optimize()).
+  /// engine's only user (bucket compiles query the engine's cost cache).
   std::shared_ptr<CompiledNetLadder>
   compileLadder(const NetworkGraph &Net, const LadderOptions &Options = {});
 
-  /// One batch bucket of a ladder: re-solve \p Anchor's execution graph at
-  /// Scenario.Batch = \p Bucket, with each conv node restricted to the §8
-  /// minibatch wrappers of the anchor plan's routine -- the solver chooses
-  /// only the schedule (@bser / @bpar) and thread count, so every bucket
-  /// computes bit-identically to the anchor, image by image. Transform
-  /// edge costs scale by the bucket (the formulation weights them by the
-  /// graph's batch), and the bucket + anchor fingerprint join the
-  /// plan-cache cost identity (":b<B>:anchor<fp>"), so bucket plans hit the
-  /// same warm PlanCache as everything else without ever mixing with
-  /// batch-1 plans. Returns null when the library lacks
-  /// wrappers for an anchor routine or the solve fails. Exposed for tests
-  /// and the fleet; serving goes through compileLadder.
+  /// One batch bucket of a ladder, derived from \p Anchor without a solve
+  /// or a prepare: the anchor's execution graph at Scenario.Batch =
+  /// \p Bucket, with the anchor plan's layouts and chains. Each conv node
+  /// takes the cheapest (§8 minibatch wrapper of the anchor's routine,
+  /// thread count) pair under the PBQP node cost (convNodeCost) -- only the
+  /// schedule (@bser / @bpar) and thread count vary, so every bucket
+  /// computes bit-identically to the anchor, image by image. The bucket
+  /// binds the anchor's prepared kernels (CompiledNet::buildBucket) and
+  /// makes no plan-cache lookup. Returns \p Anchor for \p Bucket <= 1, and
+  /// null when the library lacks wrappers for an anchor routine. Exposed
+  /// for tests; serving goes through compileLadder.
   std::shared_ptr<const CompiledNet>
   compileBucket(const std::shared_ptr<const CompiledNet> &Anchor,
-                int64_t Bucket, const CompileOptions &Options = {});
+                int64_t Bucket);
 
   /// As optimize(Net), but with one-off options (e.g. a different backend
   /// for a cross-check, or different solver knobs). Only Options.Solver,

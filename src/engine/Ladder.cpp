@@ -15,7 +15,7 @@ CompiledNetLadder::CompiledNetLadder(
   assert(!Buckets.empty() && Buckets.front() == 1 &&
          "Engine::compileLadder normalizes the bucket list");
   assert(Bucket1 && "the anchor artifact is mandatory");
-  Rungs[1] = Entry{std::move(Bucket1), 0};
+  Rungs[1] = std::move(Bucket1);
   Counters.ResidentBuckets = 1;
 
   if (Background) {
@@ -49,12 +49,11 @@ CompiledNetLadder::Rung CompiledNetLadder::acquire(int64_t K) {
   assert(K >= 1 && "batches have at least one request");
   std::lock_guard<std::mutex> L(Mutex);
   // Smallest resident bucket that can hold K (std::map iterates ascending).
-  for (auto &[B, E] : Rungs) {
+  for (const auto &[B, Artifact] : Rungs) {
     if (B < K)
       continue;
     ++Counters.Hits;
-    E.LastUse = ++UseTick;
-    return Rung{B, E.Artifact};
+    return Rung{B, Artifact};
   }
   ++Counters.Misses;
   // Queue the ideal bucket for the background thread; the request path
@@ -71,7 +70,7 @@ CompiledNetLadder::Rung CompiledNetLadder::acquire(int64_t K) {
 std::shared_ptr<const CompiledNet> CompiledNetLadder::bucket(int64_t B) const {
   std::lock_guard<std::mutex> L(Mutex);
   auto It = Rungs.find(B);
-  return It == Rungs.end() ? nullptr : It->second.Artifact;
+  return It == Rungs.end() ? nullptr : It->second;
 }
 
 void CompiledNetLadder::publish(int64_t B, std::shared_ptr<const CompiledNet> CN,
@@ -81,8 +80,7 @@ void CompiledNetLadder::publish(int64_t B, std::shared_ptr<const CompiledNet> CN
     ++Counters.CompileFailures;
     return;
   }
-  auto [It, Inserted] = Rungs.emplace(B, Entry{std::move(CN), ++UseTick});
-  if (!Inserted)
+  if (!Rungs.emplace(B, std::move(CN)).second)
     return; // raced with another publisher; keep the resident rung
   ++Counters.ResidentBuckets;
   if (FromBackground)
@@ -112,46 +110,12 @@ void CompiledNetLadder::waitForCompiles() {
   IdleCv.wait(L, [this] { return Queue.empty() && !CompileInFlight; });
 }
 
-bool CompiledNetLadder::evictBucket(int64_t B) {
-  std::lock_guard<std::mutex> L(Mutex);
-  if (B <= 1)
-    return false;
-  auto It = Rungs.find(B);
-  if (It == Rungs.end())
-    return false;
-  Rungs.erase(It);
-  --Counters.ResidentBuckets;
-  ++Counters.Evictions;
-  // An evicted bucket becomes requestable again under background mode.
-  Requested.erase(B);
-  return true;
-}
-
-CompiledNetLadder::Rung CompiledNetLadder::evictColdestBucket() {
-  std::lock_guard<std::mutex> L(Mutex);
-  auto Coldest = Rungs.end();
-  for (auto It = Rungs.begin(); It != Rungs.end(); ++It) {
-    if (It->first <= 1)
-      continue;
-    if (Coldest == Rungs.end() || It->second.LastUse < Coldest->second.LastUse)
-      Coldest = It;
-  }
-  if (Coldest == Rungs.end())
-    return Rung{};
-  Rung Dropped{Coldest->first, std::move(Coldest->second.Artifact)};
-  Rungs.erase(Coldest);
-  --Counters.ResidentBuckets;
-  ++Counters.Evictions;
-  Requested.erase(Dropped.Bucket);
-  return Dropped;
-}
-
 std::vector<CompiledNetLadder::Rung> CompiledNetLadder::residentRungs() const {
   std::lock_guard<std::mutex> L(Mutex);
   std::vector<Rung> Out;
   Out.reserve(Rungs.size());
-  for (const auto &[B, E] : Rungs)
-    Out.push_back(Rung{B, E.Artifact});
+  for (const auto &[B, Artifact] : Rungs)
+    Out.push_back(Rung{B, Artifact});
   return Out;
 }
 

@@ -7,28 +7,26 @@
 /// \file
 /// Batch size as a first-class costed serving dimension. A
 /// CompiledNetLadder holds one CompiledNet artifact per batch bucket of a
-/// configured ladder ({1, 2, 4, ..., MaxBatch} by default), each solved by
-/// PBQP at that batch size: the solver genuinely chooses the §8 minibatch
-/// schedule (@bser vs @bpar) and thread count per layer per bucket. Conv
-/// cost queries carry the bucket in their scenario, the formulation
-/// weights every layout transform by it (the bucket graph's batch), and a
-/// ":b<B>:anchor<fp>" tag on the plan-cache cost identity keeps buckets
-/// from mixing.
+/// configured ladder ({1, 2, 4, ..., MaxBatch} by default). Bucket 1 is
+/// the anchor, the model's PBQP-solved batch-1 plan; every other bucket is
+/// derived from it (Engine::compileBucket): the anchor's layouts, chains
+/// and routines, with each conv node's §8 minibatch schedule (@bser vs
+/// @bpar) and thread count chosen by the PBQP node cost at that batch
+/// size. A bucket binds the anchor's prepared kernels, so a rung costs only
+/// its plan and arena template.
 ///
 /// Dispatch rule (serve/Server.h): a coalesced batch of K requests runs on
 /// the smallest *resident* bucket >= K as one K-image pass of an
 /// ExecutionContext bound to that bucket's artifact. When the ideal bucket
 /// is missing, the server falls back to the per-slot batch-1 path for that
-/// batch -- never blocking the request path on a PBQP solve -- and the
-/// ladder's background thread compiles the bucket warm from the shared
-/// PlanCache; the rung is picked up at the next batch boundary. Evicting a
-/// rung releases the servers' cached contexts on it at their next batch.
+/// batch -- never blocking the request path on a compile -- and the
+/// ladder's background thread derives the bucket; the rung is picked up at
+/// the next batch boundary. A published rung is never replaced or dropped:
+/// rungs live and die with the ladder.
 ///
 /// Every bucket's per-image outputs are bit-identical to the sequential
-/// Executor: bucket solves are restricted to the anchor (batch-1) plan's
-/// routine per layer (only its schedule and thread count vary), and the
-/// minibatch wrappers run each image through that same routine on the same
-/// PreparedKernel-equivalent weights.
+/// Executor: each conv node runs the anchor plan's routine on the anchor's
+/// own PreparedKernel, image by image, whichever schedule wraps it.
 ///
 /// Build ladders through Engine::compileLadder; the engine must outlive
 /// the ladder (the ladder's compiles call back into it, serialized).
@@ -64,8 +62,6 @@ struct LadderOptions {
   /// synchronously inside compileLadder -- the fleet uses this so budget
   /// accounting sees the whole ladder at once.
   bool Background = true;
-  /// Knobs for every bucket's artifact.
-  CompileOptions Compile;
 };
 
 /// Monotonic ladder counters; stats() returns a consistent snapshot.
@@ -75,13 +71,11 @@ struct LadderStats {
   uint64_t BackgroundCompiles = 0; ///< rungs published by the ladder thread
   uint64_t SyncCompiles = 0;       ///< rungs published synchronously
   uint64_t CompileFailures = 0;    ///< bucket compiles that returned null
-  uint64_t Evictions = 0;          ///< rungs dropped (fleet budget)
   unsigned ResidentBuckets = 0;    ///< rungs currently published
 };
 
 /// The bucket ladder over one model. Thread-safe: serving threads
-/// acquire() while the background thread publishes rungs and the fleet
-/// evicts them.
+/// acquire() while the background thread publishes rungs.
 class CompiledNetLadder {
 public:
   /// Compiles bucket \p B's artifact (null on failure). Serialized by the
@@ -126,15 +120,6 @@ public:
   /// flight (bench warmup / clean shutdown).
   void waitForCompiles();
 
-  /// Drop bucket \p B's rung (fleet budget pressure). Bucket 1 is never
-  /// evictable -- dropping it is model eviction, the registry's job.
-  /// In-flight batches drain on the shared_ptr they hold; the bucket is
-  /// re-queued on the next acquire() that wants it (background mode).
-  bool evictBucket(int64_t B);
-  /// Evict the least-recently-acquired resident bucket > 1; returns the
-  /// dropped rung (null Artifact when nothing was evictable).
-  Rung evictColdestBucket();
-
   /// The configured ladder, ascending.
   const std::vector<int64_t> &buckets() const { return Buckets; }
   int64_t maxBucket() const { return Buckets.back(); }
@@ -155,13 +140,8 @@ private:
   bool Background = false;
 
   mutable std::mutex Mutex;
-  struct Entry {
-    std::shared_ptr<const CompiledNet> Artifact;
-    uint64_t LastUse = 0;
-  };
-  std::map<int64_t, Entry> Rungs;
+  std::map<int64_t, std::shared_ptr<const CompiledNet>> Rungs;
   LadderStats Counters;
-  uint64_t UseTick = 0;
 
   /// Pending bucket requests plus everything ever queued (failed compiles
   /// are not retried -- a broken bucket must not hot-loop the compiler).

@@ -37,40 +37,6 @@ void ModelRegistry::makeRoomLocked(size_t NeedBytes, const Entry *Keep) {
   if (Opts.MemBudgetBytes == 0)
     return;
   while (Counters.ResidentBytes + NeedBytes > Opts.MemBudgetBytes) {
-    // Cold ladder buckets go first: dropping a bucket costs only a
-    // fallback to the per-slot path for that batch size, while dropping a
-    // whole model costs a full prepare on readmission. Victim: the LRU
-    // entry that still holds an evictable (non-anchor) rung.
-    Entry *LadderVictim = nullptr;
-    for (auto &KV : Models) {
-      Entry &E = KV.second;
-      if (&E == Keep || !E.Ladder)
-        continue;
-      bool HasEvictable = false;
-      for (const CompiledNetLadder::Rung &R : E.Ladder->residentRungs())
-        if (R.Bucket > 1) {
-          HasEvictable = true;
-          break;
-        }
-      if (!HasEvictable)
-        continue;
-      if (!LadderVictim || E.LastUse < LadderVictim->LastUse)
-        LadderVictim = &E;
-    }
-    if (LadderVictim) {
-      CompiledNetLadder::Rung Dropped =
-          LadderVictim->Ladder->evictColdestBucket();
-      if (Dropped.Artifact) {
-        size_t Freed =
-            artifactBytes(*Dropped.Artifact, Opts.ArenaSlabsPerModel);
-        Freed = std::min(Freed, LadderVictim->Bytes);
-        LadderVictim->Bytes -= Freed;
-        Counters.ResidentBytes -= Freed;
-        ++Counters.BucketEvictions;
-        continue;
-      }
-    }
-
     // LRU victim among resident entries (never the one being published).
     Entry *Victim = nullptr;
     for (auto &KV : Models) {
@@ -128,18 +94,18 @@ ModelRegistry::acquire(const std::string &Name) {
     if (Opts.LadderBuckets.empty()) {
       SelectionResult R = Eng.optimize(E.Net);
       CacheHit = R.PlanCacheHit;
-      CN = Eng.compile(E.Net, R, Opts.Compile);
+      CN = Eng.compile(E.Net, R);
     } else {
       // Ladder mode: the whole ladder compiles here, synchronously, so
       // the budget sees every rung at once and lane dispatch never waits
-      // on a background compile. A warm PlanCache pays no solve for any
-      // bucket -- detected through the shared cache's miss counter.
+      // on a background compile. Only the anchor is solved, and a warm
+      // PlanCache pays no solve for it -- detected through the shared
+      // cache's miss counter.
       const PlanCacheStats *PS = Eng.planCacheStats();
       uint64_t MissesBefore = PS ? PS->Misses : 0;
       LadderOptions LO;
       LO.Buckets = Opts.LadderBuckets;
       LO.Background = false;
-      LO.Compile = Opts.Compile;
       Ladder = Eng.compileLadder(E.Net, LO);
       if (Ladder)
         CN = Ladder->bucket(1);
@@ -172,22 +138,15 @@ ModelRegistry::acquire(const std::string &Name) {
     return Cur;
   }
 
+  // The ladder, charged whole: the anchor's kernels once (a bucket
+  // prepares none) plus every rung's arena. A ladder that alone busts the
+  // budget is dropped, and the anchor is admitted alone.
   size_t Bytes = 0;
-  if (Ladder) {
-    // The resident ladder, charged whole. If it alone busts the budget,
-    // shed its own coldest buckets first; only an anchor that still does
-    // not fit makes the model unavailable.
+  if (Ladder)
     for (const CompiledNetLadder::Rung &R : Ladder->residentRungs())
       Bytes += artifactBytes(*R.Artifact, Opts.ArenaSlabsPerModel);
-    while (Opts.MemBudgetBytes != 0 && Bytes > Opts.MemBudgetBytes) {
-      CompiledNetLadder::Rung Dropped = Ladder->evictColdestBucket();
-      if (!Dropped.Artifact)
-        break;
-      Bytes -= std::min(
-          Bytes, artifactBytes(*Dropped.Artifact, Opts.ArenaSlabsPerModel));
-      ++Counters.BucketEvictions;
-    }
-  } else {
+  if (!Ladder || (Opts.MemBudgetBytes != 0 && Bytes > Opts.MemBudgetBytes)) {
+    Ladder.reset();
     Bytes = artifactBytes(*CN, Opts.ArenaSlabsPerModel);
   }
   if (Opts.MemBudgetBytes != 0 && Bytes > Opts.MemBudgetBytes) {
@@ -274,7 +233,7 @@ bool ModelRegistry::recompileAndSwap(const std::string &Name) {
     std::lock_guard<std::mutex> EG(EngineMutex);
     SelectionResult R = Eng.optimize(*Net);
     CacheHit = R.PlanCacheHit;
-    CN = Eng.compile(*Net, R, Opts.Compile);
+    CN = Eng.compile(*Net, R);
   }
   {
     std::lock_guard<std::mutex> G(Mutex);

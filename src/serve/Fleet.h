@@ -14,9 +14,10 @@
 /// optimize() goes through the same CachingCostProvider and PlanCache --
 /// the fleet warms once and serves everywhere. Accounting charges each
 /// resident artifact its prepared-kernel bytes plus its arena-template
-/// bytes times the configured slab count; when publishing a new artifact
-/// would push the total over MemBudgetBytes, the least-recently-used cold
-/// artifacts are evicted first. Eviction drops only the registry's
+/// bytes times the configured slab count (a laddered model: its anchor
+/// plus every rung's arena); when publishing a new artifact would push
+/// the total over MemBudgetBytes, the least-recently-used cold models are
+/// evicted first. Eviction drops only the registry's
 /// reference: in-flight requests drain on the shared_ptr they already
 /// hold, and a re-requested model recompiles from the shared PlanCache --
 /// eviction costs prepare time, never a PBQP solve.
@@ -65,18 +66,16 @@ struct RegistryOptions {
   /// Slabs of the arena template charged per resident artifact (one per
   /// concurrent batch slot a server backs with an arena).
   unsigned ArenaSlabsPerModel = 1;
-  /// Compile-time knobs forwarded to Engine::compile.
-  CompileOptions Compile;
   /// Batch-bucket ladder per model (engine/Ladder.h). Non-empty: the first
   /// acquire() of a model compiles its whole ladder synchronously (so
-  /// budget accounting sees it at once) and charges the sum of the
-  /// resident rungs' artifactBytes to the budget; under pressure, cold
-  /// buckets (never the anchor) are evicted fleet-wide before any whole
-  /// model is, and an evicted bucket stays evicted -- the ladder serves
-  /// the remaining rungs and the per-slot fallback covers the gap. Lanes
-  /// serve through the ladder via ladderOf(). Empty = batch-1 artifacts
-  /// only, the historical behavior. Requires an engine over a library with
-  /// the §8 minibatch wrappers (buildBatchedLibrary).
+  /// budget accounting sees it at once) and charges the sum of the rungs'
+  /// artifactBytes to the budget -- the anchor's kernels once, since a
+  /// bucket prepares none, plus every rung's arena. The ladder lives and
+  /// dies with its anchor; a ladder that alone exceeds the budget is
+  /// dropped and its anchor admitted alone, served by the per-slot path.
+  /// Lanes serve through the ladder via ladderOf(). Empty = batch-1
+  /// artifacts only, the historical behavior. Requires an engine over a
+  /// library with the §8 minibatch wrappers (buildBatchedLibrary).
   std::vector<int64_t> LadderBuckets;
 };
 
@@ -89,8 +88,6 @@ struct RegistryStats {
                               ///< solve (served from the shared PlanCache)
   uint64_t Solves = 0;       ///< compiles that paid a PBQP solve
   uint64_t Evictions = 0;    ///< artifacts dropped for budget headroom
-  uint64_t BucketEvictions = 0; ///< ladder rungs dropped before any whole
-                                ///< model (ladder mode only)
   uint64_t Swaps = 0;        ///< hot-swap publishes
   uint64_t Unavailable = 0;  ///< acquire() failures (unknown model or
                              ///< artifact alone exceeds the budget)
@@ -126,10 +123,11 @@ public:
   /// concurrent swap yields old-or-new, never torn.
   std::shared_ptr<const CompiledNet> current(const std::string &Name) const;
 
-  /// The model's resident bucket ladder (ladder mode only; null when the
-  /// registry runs batch-1 artifacts, the model is unknown, not resident,
-  /// or was hot-swapped to a plain artifact). Never compiles; lanes
-  /// re-read it per batch, like the artifact snapshot.
+  /// The model's bucket ladder (ladder mode only; null when the registry
+  /// runs batch-1 artifacts, the model is unknown, not resident, its
+  /// ladder did not fit the budget, or it was hot-swapped to a plain
+  /// artifact). Never compiles; lanes re-read it per batch, like the
+  /// artifact snapshot.
   std::shared_ptr<CompiledNetLadder> ladderOf(const std::string &Name) const;
 
   /// RCU hot-swap: atomically publish \p Artifact as \p Name's artifact.
@@ -180,9 +178,9 @@ private:
     /// Published artifact; read/written with std::atomic_load/_store so
     /// swap is a torn-free RCU publish. Null when evicted/not yet built.
     std::shared_ptr<const CompiledNet> Artifact;
-    /// Ladder mode: the model's resident bucket ladder (Artifact is its
-    /// anchor). Dropped on whole-model eviction and on hot-swap to a
-    /// plain artifact; accessed under Mutex.
+    /// Ladder mode: the model's bucket ladder (Artifact is its anchor).
+    /// Dropped on whole-model eviction and on hot-swap to a plain
+    /// artifact; accessed under Mutex.
     std::shared_ptr<CompiledNetLadder> Ladder;
     size_t Bytes = 0;     ///< accounted bytes while resident (whole ladder)
     uint64_t LastUse = 0; ///< LRU tick of the last acquire/swap
@@ -190,11 +188,9 @@ private:
     unsigned Order = 0;     ///< registration order
   };
 
-  /// Evict until \p NeedBytes fits under the budget -- cold ladder buckets
-  /// first (coldest non-anchor rung of the LRU ladder-holding entry,
-  /// fleet-wide), whole LRU models only once no bucket is left to drop.
-  /// Never touches \p Keep. Requires Mutex held; always succeeds because
-  /// the caller checked NeedBytes <= MemBudgetBytes.
+  /// Evict whole LRU models (with their ladders) until \p NeedBytes fits
+  /// under the budget. Never touches \p Keep. Requires Mutex held; always
+  /// succeeds because the caller checked NeedBytes <= MemBudgetBytes.
   void makeRoomLocked(size_t NeedBytes, const Entry *Keep);
 
   Engine &Eng;

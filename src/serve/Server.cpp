@@ -57,22 +57,14 @@ bool primsel::serve::executeBatchLadder(
     std::map<int64_t, std::unique_ptr<ExecutionContext>> &Contexts,
     const ExecutionContextOptions &CtxOpts, Clock &Clk,
     std::atomic<uint64_t> &DeadlineMisses) {
-  // Drop contexts of evicted or recompiled rungs: an idle bucket's context
-  // must not pin the kernels and arena slabs the ladder already released.
-  for (auto It = Contexts.begin(); It != Contexts.end();) {
-    if (Ladder.bucket(It->first).get() == &It->second->compiled())
-      ++It;
-    else
-      It = Contexts.erase(It);
-  }
-
   size_t K = B.Requests.size();
   CompiledNetLadder::Rung Rung = Ladder.acquire(static_cast<int64_t>(K));
   if (!Rung.Artifact)
     return false;
 
   // One cached context per bucket per worker, revalidated by artifact
-  // identity (the rung may have been recompiled since the sweep above).
+  // identity, so a map reused across ladders never runs a context bound to
+  // another ladder's rung.
   std::unique_ptr<ExecutionContext> &Ctx = Contexts[Rung.Bucket];
   if (!Ctx || &Ctx->compiled() != Rung.Artifact.get())
     Ctx = std::make_unique<ExecutionContext>(Rung.Artifact, CtxOpts);

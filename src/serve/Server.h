@@ -91,11 +91,10 @@ void executeBatch(const std::shared_ptr<const CompiledNet> &Net, Batch &B,
 /// false -- leaving \p B untouched -- when no resident bucket can hold K;
 /// the caller falls back to the per-slot executeBatch for this batch while
 /// the ladder's background thread compiles the missing bucket (the request
-/// path never waits on a PBQP solve). \p Contexts caches one context per
-/// bucket per worker. Every call first drops the cached contexts whose
-/// bucket is no longer resident, or is resident under another artifact,
-/// so an evicted or recompiled rung's kernels and arena slabs are freed at
-/// the next batch boundary rather than pinned by an idle worker.
+/// path never waits on a compile). \p Contexts caches one context per
+/// bucket per worker, rebound when its bucket's artifact is not the one
+/// the context was built on. A published rung is never replaced, so no
+/// cached context goes stale while its ladder lives.
 bool executeBatchLadder(
     CompiledNetLadder &Ladder, Batch &B,
     std::map<int64_t, std::unique_ptr<ExecutionContext>> &Contexts,

@@ -492,8 +492,8 @@ TEST(FleetServer, HotSwapRacingSubmittersSeeOldOrNewNeverTorn) {
 // Batch-ladder fleets (RegistryOptions::LadderBuckets)
 //===----------------------------------------------------------------------===//
 
-/// FleetHarness over the batched library: ladder bucket solves select
-/// among the §8 minibatch wrappers.
+/// FleetHarness over the batched library: ladder buckets select among the
+/// §8 minibatch wrappers.
 struct FleetBatchedHarness {
   PrimitiveLibrary Lib = buildBatchedLibrary();
   AnalyticCostProvider Prov{Lib, MachineProfile::haswell(), 1};
@@ -541,12 +541,16 @@ TEST(FleetLadder, FirstAcquireCompilesWholeLadderAndChargesIt) {
   // The whole ladder compiled synchronously at admission...
   EXPECT_EQ(L->residentRungs().size(), 3u);
   EXPECT_EQ(L->bucket(1).get(), CN.get());
-  // ...and the budget sees the sum of every resident rung, not just the
-  // anchor.
-  size_t Sum = 0;
-  for (const CompiledNetLadder::Rung &R : L->residentRungs())
-    Sum += ModelRegistry::artifactBytes(*R.Artifact,
-                                        ROpts.ArenaSlabsPerModel);
+  // ...and the budget sees every rung: the anchor once, since a bucket
+  // binds the anchor's kernels and prepares none, plus each other rung's
+  // arena slabs.
+  size_t Sum = ModelRegistry::artifactBytes(*CN, ROpts.ArenaSlabsPerModel);
+  for (const CompiledNetLadder::Rung &R : L->residentRungs()) {
+    if (R.Bucket == 1)
+      continue;
+    EXPECT_EQ(R.Artifact->preparedBytes(), 0u) << "bucket " << R.Bucket;
+    Sum += R.Artifact->memoryPlan().arenaBytes() * ROpts.ArenaSlabsPerModel;
+  }
   RegistryStats S = Reg.stats();
   EXPECT_EQ(S.ResidentBytes, Sum);
   EXPECT_GT(Sum,
@@ -558,7 +562,7 @@ TEST(FleetLadder, FirstAcquireCompilesWholeLadderAndChargesIt) {
   EXPECT_EQ(Reg.residentBytes(), 0u);
 }
 
-TEST(FleetLadder, BudgetEvictsColdBucketsBeforeWholeModels) {
+TEST(FleetLadder, LadderOverBudgetIsDroppedAndAnchorAdmittedAlone) {
   FleetBatchedHarness H;
   RegistryOptions ROpts;
   ROpts.ArenaSlabsPerModel = 1;
@@ -566,57 +570,44 @@ TEST(FleetLadder, BudgetEvictsColdBucketsBeforeWholeModels) {
   size_t ChainL = ladderBytes(H.Lib, H.Prov, tinyChain(16),
                               ROpts.LadderBuckets,
                               ROpts.ArenaSlabsPerModel);
-  size_t DagL = ladderBytes(H.Lib, H.Prov, tinyDag(16), ROpts.LadderBuckets,
-                            ROpts.ArenaSlabsPerModel);
-  // One byte short of both full ladders: admitting the second model must
-  // shed a cold bucket somewhere, and a cold BUCKET -- not a whole model
-  // -- is the mandated first victim.
-  ROpts.MemBudgetBytes = ChainL + DagL - 1;
-  ModelRegistry Reg(*H.Eng, ROpts);
-  ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
-  ASSERT_TRUE(Reg.addModel("dag", tinyDag(16)));
-
-  ASSERT_NE(Reg.acquire("chain"), nullptr);
-  ASSERT_NE(Reg.acquire("dag"), nullptr);
-
-  // Both models stayed resident; the pressure landed on a bucket.
-  EXPECT_NE(Reg.current("chain"), nullptr);
-  EXPECT_NE(Reg.current("dag"), nullptr);
-  RegistryStats S = Reg.stats();
-  EXPECT_EQ(S.Evictions, 0u);
-  EXPECT_GE(S.BucketEvictions, 1u);
-  EXPECT_LE(Reg.residentBytes(), ROpts.MemBudgetBytes);
-  // The shed bucket came off the LRU ladder (chain's), whose anchor must
-  // survive (bucket eviction never drops bucket 1).
-  std::shared_ptr<CompiledNetLadder> ChainLadder = Reg.ladderOf("chain");
-  ASSERT_NE(ChainLadder, nullptr);
-  EXPECT_LT(ChainLadder->residentRungs().size(), 3u);
-  EXPECT_NE(ChainLadder->bucket(1), nullptr);
-}
-
-TEST(FleetLadder, LadderOverBudgetSelfShedsToFit) {
-  FleetBatchedHarness H;
-  RegistryOptions ROpts;
-  ROpts.ArenaSlabsPerModel = 1;
-  ROpts.LadderBuckets = {1, 2, 4};
-  size_t ChainL = ladderBytes(H.Lib, H.Prov, tinyChain(16),
-                              ROpts.LadderBuckets,
-                              ROpts.ArenaSlabsPerModel);
-  // The full ladder misses the budget by one byte, but the model itself
-  // fits: admission sheds its own coldest buckets instead of failing.
+  // The full ladder misses the budget by one byte, but the anchor fits:
+  // admission drops the ladder and publishes the anchor alone.
   ROpts.MemBudgetBytes = ChainL - 1;
   ModelRegistry Reg(*H.Eng, ROpts);
   ASSERT_TRUE(Reg.addModel("chain", tinyChain(16)));
 
   std::shared_ptr<const CompiledNet> CN = Reg.acquire("chain");
   ASSERT_NE(CN, nullptr);
-  std::shared_ptr<CompiledNetLadder> L = Reg.ladderOf("chain");
-  ASSERT_NE(L, nullptr);
-  EXPECT_LT(L->residentRungs().size(), 3u);
-  EXPECT_NE(L->bucket(1), nullptr);
+  EXPECT_EQ(Reg.ladderOf("chain"), nullptr);
   RegistryStats S = Reg.stats();
-  EXPECT_GE(S.BucketEvictions, 1u);
   EXPECT_EQ(S.Unavailable, 0u);
+  EXPECT_EQ(S.ResidentBytes,
+            ModelRegistry::artifactBytes(*CN, ROpts.ArenaSlabsPerModel));
+
+  // The lane serves every batch per slot, bit-identically.
+  Tensor3D In = inputFor(CN->graph(), 63);
+  Executor Seq(CN->graph(), CN->plan(), H.Lib);
+  Seq.run(In);
+  Tensor3D Ref = Seq.networkOutput().clone();
+  FleetOptions FOpts;
+  FOpts.Batch.MaxBatch = 4;
+  FOpts.Batch.MaxDelayNs = nsPerMs / 2;
+  FOpts.Batch.MaxQueue = 1024;
+  FleetServer Srv(Reg, FOpts);
+  const unsigned N = 12;
+  std::vector<std::future<ServeResponse>> Futures;
+  for (unsigned I = 0; I < N; ++I)
+    Futures.push_back(Srv.submit("chain", In).Response);
+  Srv.shutdown();
+  for (std::future<ServeResponse> &F : Futures) {
+    ServeResponse R = F.get();
+    ASSERT_TRUE(R.ok()) << serveStatusName(R.Status);
+    EXPECT_EQ(maxAbsDifference(R.Output, Ref), 0.0f);
+  }
+  LaneStats LS = Srv.laneStats("chain");
+  EXPECT_EQ(LS.Exec.RequestsExecuted, N);
+  EXPECT_EQ(LS.Exec.BatchedBatches, 0u);
+  EXPECT_EQ(LS.Exec.FallbackBatches, LS.Exec.BatchesExecuted);
   EXPECT_LE(Reg.residentBytes(), ROpts.MemBudgetBytes);
 }
 

@@ -2,11 +2,11 @@
 //
 // The batch-bucketed plan ladder (engine/Ladder.h + Engine::compileLadder)
 // and its serving dispatch (serve/Server.h executeBatch/executeBatchLadder):
-// bucket compilation sync and background, acquire/miss semantics, plan-cache
-// bucket keying, anchor-routine restriction, eviction (including the
-// release of evicted rungs' cached contexts), bucket-context bit-identity
-// against the sequential Executor, and the per-request latency/deadline
-// accounting of both dispatch paths under a VirtualClock.
+// bucket compilation sync and background, acquire/miss semantics, buckets
+// derived from the anchor (its plan, one plan-cache lookup, its prepared
+// kernels), bucket-context bit-identity against the sequential Executor,
+// and the per-request latency/deadline accounting of both dispatch paths
+// under a VirtualClock.
 //
 // The background-compile suite races a live acquire() loop against the
 // ladder's compile thread, which is why this binary carries the
@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <map>
 #include <thread>
@@ -43,7 +44,7 @@ Tensor3D inputFor(const NetworkGraph &Net, uint64_t Seed) {
 }
 
 /// Shared engine state for every ladder test. The library must be the
-/// batched one: bucket solves select among the §8 minibatch wrappers.
+/// batched one: buckets select among the §8 minibatch wrappers.
 struct LadderHarness {
   PrimitiveLibrary Lib = buildBatchedLibrary();
   AnalyticCostProvider Prov{Lib, MachineProfile::haswell(), 1};
@@ -104,48 +105,117 @@ TEST(Ladder, AcquireReturnsSmallestResidentBucketHoldingK) {
   EXPECT_EQ(S.Misses, 1u);
 }
 
-TEST(Ladder, BucketPlansRestrictToAnchorRoutines) {
-  // Every bucket's plan must pick a minibatch wrapper of the anchor plan's
-  // routine per conv layer -- only the §8 schedule axis (@bser/@bpar,
-  // threads) is free. This is what makes bucket outputs bit-identical.
-  LadderHarness H;
-  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, false);
+TEST(Ladder, BucketPlansAreTheAnchorPlanWithWrappedRoutines) {
+  // A bucket keeps the anchor plan's layouts and chains, and each conv
+  // layer runs a minibatch wrapper of the anchor's routine -- only the §8
+  // schedule (@bser/@bpar) and thread count are free. This is what makes
+  // bucket outputs bit-identical. resnet18 has legalization chains, and
+  // the thread axis gives every node six (schedule, threads) pairs.
+  PrimitiveLibrary Lib = buildBatchedLibrary();
+  AnalyticCostProvider Prov(Lib, MachineProfile::haswell(), 1);
+  EngineOptions EOpts;
+  EOpts.AmortizeWeightTransforms = true;
+  EOpts.ExecThreadCandidates = {1, 2, 4};
+  Engine Eng(Lib, Prov, EOpts);
+  LadderOptions LO;
+  LO.Buckets = {1, 2, 4};
+  LO.Background = false;
+  std::shared_ptr<CompiledNetLadder> L =
+      Eng.compileLadder(*buildModel("resnet18", 0.1), LO);
   ASSERT_NE(L, nullptr);
   std::shared_ptr<const CompiledNet> Anchor = L->bucket(1);
   ASSERT_NE(Anchor, nullptr);
+  const NetworkPlan &AP = Anchor->plan();
+  EXPECT_FALSE(AP.Chains.empty());
   for (const CompiledNetLadder::Rung &R : L->residentRungs()) {
     if (R.Bucket == 1)
       continue;
-    const NetworkGraph &G = R.Artifact->graph();
-    for (NetworkGraph::NodeId N : G.convNodes()) {
-      const ConvPrimitive &P =
-          R.Artifact->library().get(R.Artifact->plan().ConvPrim[N]);
+    const NetworkPlan &BP = R.Artifact->plan();
+    EXPECT_EQ(BP.InLayout, AP.InLayout) << "bucket " << R.Bucket;
+    EXPECT_EQ(BP.OutLayout, AP.OutLayout) << "bucket " << R.Bucket;
+    EXPECT_EQ(BP.Chains, AP.Chains) << "bucket " << R.Bucket;
+    for (NetworkGraph::NodeId N : R.Artifact->graph().convNodes()) {
+      const ConvPrimitive &P = Lib.get(BP.ConvPrim[N]);
       const auto *MB = dynamic_cast<const MinibatchPrimitive *>(&P);
       ASSERT_NE(MB, nullptr)
           << "bucket " << R.Bucket << " node " << N
           << " selected a non-minibatch routine: " << P.name();
-      EXPECT_EQ(MB->base().name(),
-                Anchor->library().get(Anchor->plan().ConvPrim[N]).name());
+      EXPECT_EQ(&MB->base(), &Lib.get(AP.ConvPrim[N]))
+          << "bucket " << R.Bucket << " node " << N;
+      unsigned T = BP.convThreads(N);
+      EXPECT_TRUE(T == 1 || T == 2 || T == 4) << T;
     }
   }
 }
 
-TEST(Ladder, PlanCacheKeysSeparateBuckets) {
+TEST(Ladder, CompileMakesOnePlanCacheLookup) {
+  // Only the anchor is solved: bucket plans are derived, never looked up
+  // or stored.
   LadderHarness H;
-  std::shared_ptr<CompiledNetLadder> First = H.ladder({1, 2, 4}, false);
+  std::shared_ptr<CompiledNetLadder> First = H.ladder({1, 2, 4, 8}, false);
   ASSERT_NE(First, nullptr);
   const PlanCacheStats *PS = H.Eng->planCacheStats();
   ASSERT_NE(PS, nullptr);
-  // Three distinct solves: the anchor plus one per bucket > 1 -- bucket
-  // keys never collide with each other or with the batch-1 plan.
-  EXPECT_EQ(PS->Misses, 3u);
+  EXPECT_EQ(PS->Lookups, 1u);
+  EXPECT_EQ(PS->Misses, 1u);
 
-  // A second ladder over the same network re-acquires every plan from the
-  // cache: zero new solves.
-  std::shared_ptr<CompiledNetLadder> Second = H.ladder({1, 2, 4}, false);
+  std::shared_ptr<CompiledNetLadder> Second = H.ladder({1, 2, 4, 8}, false);
   ASSERT_NE(Second, nullptr);
-  EXPECT_EQ(PS->Misses, 3u);
-  EXPECT_GE(PS->MemoryHits, 3u);
+  EXPECT_EQ(PS->Lookups, 2u);
+  EXPECT_EQ(PS->Misses, 1u);
+  EXPECT_EQ(PS->hits(), 1u);
+}
+
+TEST(Ladder, BucketsPrepareNothingAndKeepTheAnchorAlive) {
+  LadderHarness H;
+  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, false);
+  ASSERT_NE(L, nullptr);
+  std::shared_ptr<const CompiledNet> Anchor = L->bucket(1);
+  std::shared_ptr<const CompiledNet> Bucket4 = L->bucket(4);
+  ASSERT_NE(Bucket4, nullptr);
+  EXPECT_GT(Anchor->preparedBytes(), 0u);
+  for (const CompiledNetLadder::Rung &R : L->residentRungs()) {
+    if (R.Bucket == 1)
+      continue;
+    EXPECT_EQ(R.Artifact->preparedBytes(), 0u) << "bucket " << R.Bucket;
+    EXPECT_EQ(R.Artifact->numPreparedKernels(), 0u) << "bucket " << R.Bucket;
+    EXPECT_EQ(R.Artifact->prepareMillis(), 0.0) << "bucket " << R.Bucket;
+  }
+
+  std::vector<Tensor3D> Inputs;
+  std::vector<Tensor3D> Reference;
+  Executor Seq(Anchor->graph(), Anchor->plan(), H.Lib);
+  for (uint64_t I = 0; I < 4; ++I) {
+    Inputs.push_back(inputFor(Anchor->graph(), 71 + I));
+    Seq.run(Inputs.back());
+    Reference.push_back(Seq.networkOutput().clone());
+  }
+
+  // Drop the ladder and every other reference to the anchor: the bucket
+  // holds it, and still computes the anchor's function bit for bit.
+  std::weak_ptr<const CompiledNet> WeakAnchor = Anchor;
+  L.reset();
+  Anchor.reset();
+  EXPECT_FALSE(WeakAnchor.expired());
+  {
+    ExecutionContextOptions Opts;
+    Opts.Threads = 2;
+    Opts.UseArena = true;
+    ExecutionContext Ctx(Bucket4, Opts);
+    std::vector<const Tensor3D *> Ptrs;
+    for (const Tensor3D &In : Inputs)
+      Ptrs.push_back(&In);
+    Ctx.run(Ptrs);
+    for (size_t I = 0; I < Inputs.size(); ++I)
+      EXPECT_EQ(std::memcmp(Ctx.output(I).data(), Reference[I].data(),
+                            static_cast<size_t>(Reference[I].size()) *
+                                sizeof(float)),
+                0)
+          << "image " << I;
+  }
+  // The anchor lives exactly as long as its last bucket.
+  Bucket4.reset();
+  EXPECT_TRUE(WeakAnchor.expired());
 }
 
 TEST(Ladder, BackgroundCompileStaysOffTheRequestPath) {
@@ -163,40 +233,6 @@ TEST(Ladder, BackgroundCompileStaysOffTheRequestPath) {
   CompiledNetLadder::Rung Hit = L->acquire(2);
   ASSERT_NE(Hit.Artifact, nullptr);
   EXPECT_EQ(Hit.Bucket, 2);
-}
-
-TEST(Ladder, EvictionProtectsAnchorAndDropsColdestFirst) {
-  LadderHarness H;
-  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, false);
-  ASSERT_NE(L, nullptr);
-  EXPECT_FALSE(L->evictBucket(1)); // the anchor is the registry's business
-  // Touch 4 then 2: bucket 4 is now the colder of the two evictables.
-  L->acquire(4);
-  L->acquire(2);
-  CompiledNetLadder::Rung Dropped = L->evictColdestBucket();
-  EXPECT_EQ(Dropped.Bucket, 4);
-  ASSERT_NE(Dropped.Artifact, nullptr); // returned for byte accounting
-  EXPECT_EQ(L->evictColdestBucket().Bucket, 2);
-  // Only the anchor remains: nothing left to evict.
-  EXPECT_EQ(L->evictColdestBucket().Artifact, nullptr);
-  EXPECT_EQ(L->stats().ResidentBuckets, 1u);
-  EXPECT_NE(L->bucket(1), nullptr);
-}
-
-TEST(Ladder, EvictedBucketIsRequestableAgainInBackgroundMode) {
-  LadderHarness H;
-  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2}, true);
-  ASSERT_NE(L, nullptr);
-  L->acquire(2);
-  L->waitForCompiles();
-  ASSERT_NE(L->bucket(2), nullptr);
-  EXPECT_TRUE(L->evictBucket(2));
-  // The eviction cleared the bucket from the requested set, so the next
-  // miss queues a fresh compile instead of being swallowed.
-  EXPECT_EQ(L->acquire(2).Artifact, nullptr);
-  L->waitForCompiles();
-  EXPECT_NE(L->bucket(2), nullptr);
-  EXPECT_EQ(L->stats().BackgroundCompiles, 2u);
 }
 
 TEST(Ladder, BackgroundCompileRacesAcquire) {
@@ -477,36 +513,4 @@ TEST(ExecuteBatchLadder, MissLeavesBatchUntouchedForFallback) {
   // served batched.
   L->waitForCompiles();
   EXPECT_NE(L->bucket(2), nullptr);
-}
-
-TEST(ExecuteBatchLadder, EvictedBucketContextIsReleased) {
-  LadderHarness H;
-  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, false);
-  ASSERT_NE(L, nullptr);
-  Tensor3D Input = inputFor(L->bucket(1)->graph(), 5);
-  VirtualClock Clk;
-  std::map<int64_t, std::unique_ptr<ExecutionContext>> Contexts;
-  ExecutionContextOptions CtxOpts;
-  std::atomic<uint64_t> Misses{0};
-
-  // K=3 lands on bucket 4 and caches a context bound to its artifact.
-  std::vector<std::future<ServeResponse>> Futures;
-  Batch B = makeBatch(Input, 0, {{0, 0}, {0, 0}, {0, 0}}, Futures);
-  ASSERT_TRUE(executeBatchLadder(*L, B, Contexts, CtxOpts, Clk, Misses));
-  ASSERT_EQ(Contexts.count(4), 1u);
-  std::weak_ptr<const CompiledNet> Bucket4 = L->bucket(4);
-  ASSERT_FALSE(Bucket4.expired());
-
-  // Once the ladder drops the rung, the next batch through the same
-  // worker's map -- even one served by another bucket -- must release the
-  // stale context, and with it the last reference to the artifact.
-  ASSERT_TRUE(L->evictBucket(4));
-  std::vector<std::future<ServeResponse>> Futures1;
-  Batch B1 = makeBatch(Input, 0, {{0, 0}}, Futures1);
-  ASSERT_TRUE(executeBatchLadder(*L, B1, Contexts, CtxOpts, Clk, Misses));
-  EXPECT_TRUE(Bucket4.expired());
-  EXPECT_EQ(Contexts.count(4), 0u);
-  for (auto &F : Futures)
-    EXPECT_TRUE(F.get().ok());
-  EXPECT_TRUE(Futures1.front().get().ok());
 }

@@ -154,9 +154,9 @@ struct CliOptions {
   /// traffic (0 = never) -- exercises the RCU publish path end to end.
   unsigned Swaps = 0;
   /// --batch-ladder: serve coalesced batches through the batch-bucketed
-  /// plan ladder (engine/Ladder.h) -- one PBQP-solved artifact per bucket
-  /// {1, 2, 4, ..., --max-batch}, real §8 minibatch plans per bucket --
-  /// instead of K independent batch-1 slot runs. Implies --open-loop
+  /// plan ladder (engine/Ladder.h) -- one artifact per bucket
+  /// {1, 2, 4, ..., --max-batch}, real §8 minibatch plans derived from the
+  /// PBQP-solved anchor -- instead of K independent batch-1 slot runs. Implies --open-loop
   /// under single-model 'serve'; under 'serve --models' every fleet entry
   /// gets a ladder charged whole against the memory budget.
   bool BatchLadder = false;
@@ -237,8 +237,8 @@ int usage(const char *Argv0) {
       "--open-loop, by Poisson arrivals at --rate R/sec through the dynamic\n"
       "batcher (--max-batch, --max-delay-us, --max-queue, --slo-ms).\n"
       "--parallel and --exec-threads N widen every serving context.\n"
-      "--batch-ladder serves coalesced batches through one PBQP-solved\n"
-      "minibatch plan per batch bucket {1,2,4,...,--max-batch} (implies\n"
+      "--batch-ladder serves coalesced batches through one minibatch\n"
+      "plan per batch bucket {1,2,4,...,--max-batch} (implies\n"
       "--open-loop); --bucket-compile bg compiles missing buckets in the\n"
       "background while the per-slot path serves, sync compiles all\n"
       "buckets up front.\n"
@@ -978,7 +978,7 @@ int serveModel(const CliOptions &Opts, Engine &Eng, const NetworkGraph &Net,
   std::shared_ptr<const CompiledNet> CN;
   if (Opts.BatchLadder) {
     // The anchor solve hits the plan cache (cmdServe already ran
-    // optimize); sync mode also pays every bucket solve here, bg mode
+    // optimize); sync mode also derives every bucket here, bg mode
     // defers them to the ladder's compile thread.
     LadderOptions LO;
     LO.MaxBatch = static_cast<int64_t>(std::max(1u, Opts.MaxBatch));
@@ -1136,8 +1136,8 @@ int cmdServeFleet(const CliOptions &Opts) {
   ROpts.ArenaSlabsPerModel = std::max(1u, Opts.MaxBatch);
   if (Opts.BatchLadder) {
     // Whole ladders compile synchronously at first acquire and the sum of
-    // resident rungs is charged to the budget; cold buckets are evicted
-    // fleet-wide before any whole model.
+    // their rungs is charged to the budget; a ladder that does not fit is
+    // dropped and its anchor admitted alone.
     for (int64_t B = 1; B <= static_cast<int64_t>(std::max(1u, Opts.MaxBatch));
          B *= 2)
       ROpts.LadderBuckets.push_back(B);
@@ -1254,9 +1254,6 @@ int cmdServeFleet(const CliOptions &Opts) {
               static_cast<unsigned long long>(RS.Evictions),
               static_cast<unsigned long long>(RS.Swaps),
               static_cast<unsigned long long>(RS.Unavailable));
-  if (Opts.BatchLadder)
-    std::printf("# registry bucket evictions: %llu\n",
-                static_cast<unsigned long long>(RS.BucketEvictions));
   std::printf("# fleet-resident-mib %zu (peak %.2f MiB resident, budget "
               "%s)\n",
               (RS.PeakResidentBytes + (1024 * 1024 - 1)) / (1024 * 1024),
