@@ -168,10 +168,8 @@ std::string primsel::emitPlanSource(const NetworkGraph &Net,
          << Node.L.OutChannels * Flat << ");\n"
          << "      primsel::fillRandom(" << memberVar("Fc", N) << ".data(), "
          << memberVar("Fc", N) << ".size(), WeightSeed + " << Node.SeedId
-         << ");\n"
-         << "      float Scale = 1.0f / std::sqrt(" << Flat << ".0f);\n"
-         << "      for (float &V : " << memberVar("Fc", N)
-         << ")\n        V *= Scale;\n"
+         << ",\n                          1.0f / std::sqrt(" << Flat
+         << ".0f));\n"
          << "    }\n";
     } else if (Node.L.Kind == LayerKind::Bias) {
       OS << "    { // " << Node.L.Name << "\n"

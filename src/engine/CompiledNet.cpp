@@ -40,12 +40,26 @@ CompiledNet::CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
   FcWeights.resize(Net.numNodes());
 
   Timer PrepareTimer;
+  // Every conv node's weights are generated into one scratch sized for the
+  // largest: prepare() copies what it keeps out of its Kernel4D, so the
+  // next node may overwrite it.
+  size_t ScratchFloats = 0;
+  for (NetworkGraph::NodeId N = 0; N < Net.numNodes(); ++N) {
+    const NetworkGraph::Node &Node = Net.node(N);
+    if (!isDummyKind(Node.L.Kind)) {
+      const ConvScenario &S = Node.Scenario;
+      ScratchFloats = std::max(
+          ScratchFloats,
+          static_cast<size_t>(S.M * S.kernelChannels() * S.K * S.K));
+    }
+  }
+  AlignedBuffer WeightScratch(ScratchFloats);
   for (NetworkGraph::NodeId N = 0; N < Net.numNodes(); ++N) {
     const NetworkGraph::Node &Node = Net.node(N);
     if (!isDummyKind(Node.L.Kind)) {
       const ConvScenario &S = Node.Scenario;
       // Depthwise filters carry a single input channel.
-      Kernel4D Weights(S.M, S.kernelChannels(), S.K);
+      Kernel4D Weights(S.M, S.kernelChannels(), S.K, WeightScratch.data());
       // Deterministic per-node weights so any two plans over the same
       // network compute the same function. Seeded by SeedId (= the node id
       // on hand-built graphs) so a pass-rewritten graph draws each layer's
@@ -60,12 +74,10 @@ CompiledNet::CompiledNet(const NetworkGraph &NetIn, const NetworkPlan &PlanIn,
       const TensorShape &In = Net.node(Node.Inputs[0]).OutShape;
       size_t Flat = static_cast<size_t>(In.elements());
       FcWeights[N].reset(static_cast<size_t>(Node.L.OutChannels) * Flat);
+      // Scaled down so deep nets do not overflow float range.
       fillRandom(FcWeights[N].data(), FcWeights[N].size(),
-                 Opts.WeightSeed + Node.SeedId);
-      // Scale down so deep nets do not overflow float range.
-      float Scale = 1.0f / std::sqrt(static_cast<float>(Flat));
-      for (size_t I = 0; I < FcWeights[N].size(); ++I)
-        FcWeights[N][I] *= Scale;
+                 Opts.WeightSeed + Node.SeedId,
+                 1.0f / std::sqrt(static_cast<float>(Flat)));
     } else if (Node.L.Kind == LayerKind::Bias) {
       // Standalone bias layer: the same deterministic stream the fused
       // epilogue would draw (BiasSeedId == SeedId until a pass fuses it).

@@ -48,23 +48,26 @@ int64_t CompiledNetLadder::idealBucket(int64_t K) const {
 CompiledNetLadder::Rung CompiledNetLadder::acquire(int64_t K) {
   assert(K >= 1 && "batches have at least one request");
   std::lock_guard<std::mutex> L(Mutex);
-  // Smallest resident bucket that can hold K (std::map iterates ascending).
-  for (const auto &[B, Artifact] : Rungs) {
-    if (B < K)
-      continue;
+  // The smallest resident bucket that can hold K.
+  Rung Found;
+  auto It = Rungs.lower_bound(K);
+  if (It != Rungs.end()) {
     ++Counters.Hits;
-    return Rung{B, Artifact};
+    Found = Rung{It->first, It->second};
+  } else {
+    ++Counters.Misses;
   }
-  ++Counters.Misses;
-  // Queue the ideal bucket for the background thread; the request path
-  // itself never compiles. Failed buckets stay in Requested and are not
-  // retried.
+  // Unless it is what K gets, queue the ideal bucket for the background
+  // thread, on a miss and on a hit on a larger bucket alike; the request
+  // path itself never compiles. Failed buckets stay in Requested and are
+  // not retried.
   int64_t Ideal = idealBucket(K);
-  if (Background && Ideal != 0 && Requested.insert(Ideal).second) {
+  if (Background && Ideal != 0 && Found.Bucket != Ideal &&
+      Requested.insert(Ideal).second) {
     Queue.push_back(Ideal);
     WorkCv.notify_one();
   }
-  return Rung{};
+  return Found;
 }
 
 std::shared_ptr<const CompiledNet> CompiledNetLadder::bucket(int64_t B) const {

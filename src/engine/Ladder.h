@@ -17,12 +17,13 @@
 ///
 /// Dispatch rule (serve/Server.h): a coalesced batch of K requests runs on
 /// the smallest *resident* bucket >= K as one K-image pass of an
-/// ExecutionContext bound to that bucket's artifact. When the ideal bucket
-/// is missing, the server falls back to the per-slot batch-1 path for that
-/// batch -- never blocking the request path on a compile -- and the
-/// ladder's background thread derives the bucket; the rung is picked up at
-/// the next batch boundary. A published rung is never replaced or dropped:
-/// rungs live and die with the ladder.
+/// ExecutionContext bound to that bucket's artifact. When no resident
+/// bucket can hold K, the server falls back to the per-slot batch-1 path
+/// for that batch -- never blocking the request path on a compile.
+/// Whenever the ideal bucket is missing, the ladder's background thread
+/// derives it; the rung is picked up at the next batch boundary. A
+/// published rung is never replaced or dropped: rungs live and die with
+/// the ladder.
 ///
 /// Every bucket's per-image outputs are bit-identical to the sequential
 /// Executor: each conv node runs the anchor plan's routine on the anchor's
@@ -103,10 +104,12 @@ public:
   CompiledNetLadder &operator=(const CompiledNetLadder &) = delete;
 
   /// Serving dispatch: the smallest resident bucket >= \p K. On a miss
-  /// (no resident bucket can hold K) the returned Artifact is null, the
-  /// caller falls back to its per-slot path, and -- in background mode --
-  /// the ideal bucket is queued for compilation off the request path.
-  /// Never compiles, never blocks on a compile.
+  /// (no resident bucket can hold K) the returned Artifact is null and the
+  /// caller falls back to its per-slot path. In background mode, the ideal
+  /// bucket (the smallest configured one >= K) is queued for compilation
+  /// off the request path whenever it is not the bucket returned: on a
+  /// miss, and on a hit on a larger bucket. Never compiles, never blocks
+  /// on a compile.
   Rung acquire(int64_t K);
 
   /// The exact bucket \p B's artifact (null when not resident).

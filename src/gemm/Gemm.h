@@ -119,18 +119,29 @@ public:
   void place(float *Storage) { Data = Storage; }
   const float *data() const { return Data; }
 
-  /// Visit every panel slot in storage order, lane index innermost:
-  /// Visit(Lane, P, Offset) with Offset the slot's index from data().
-  /// Padding slots are visited too, with Lane >= lanes().
-  template <typename Fn> void forEachSlot(Fn Visit) const {
+  /// Visit every lane group in storage order: Visit(L0, P, Offset) once
+  /// per group of width() lanes starting at lane L0 and per depth P, with
+  /// Offset the index from data() of lane L0's slot. Lanes L0 ..
+  /// L0 + width() - 1 follow it contiguously; those at or past lanes() are
+  /// padding. The only place that knows the panel order.
+  template <typename Fn> void forEachGroup(Fn Visit) const {
     int64_t Offset = 0;
     for (int64_t Pc = 0; Pc < K; Pc += GemmKC) {
       const int64_t Kc = std::min(GemmKC, K - Pc);
       for (int64_t L0 = 0; L0 < Lanes; L0 += Width)
-        for (int64_t P = Pc; P < Pc + Kc; ++P)
-          for (int64_t L = L0; L < L0 + Width; ++L)
-            Visit(L, P, Offset++);
+        for (int64_t P = Pc; P < Pc + Kc; ++P, Offset += Width)
+          Visit(L0, P, Offset);
     }
+  }
+
+  /// Visit every panel slot in storage order, lane index innermost:
+  /// Visit(Lane, P, Offset) with Offset the slot's index from data().
+  /// Padding slots are visited too, with Lane >= lanes().
+  template <typename Fn> void forEachSlot(Fn Visit) const {
+    forEachGroup([&](int64_t L0, int64_t P, int64_t Offset) {
+      for (int L = 0; L < Width; ++L)
+        Visit(L0 + L, P, Offset + L);
+    });
   }
 
   /// Write the panels in one pass from Elem(Lane, P), the operand's element

@@ -103,65 +103,132 @@ void makeWinogradInputInto(const Tensor3D &In, int64_t Pad, int64_t Hp,
     }
 }
 
+/// Widest panel lane group of any micro-kernel tier (AVX-512's NR).
+constexpr int MaxGroupWidth = 32;
+
+/// The transformed kernel of one panel lane group: filters F0 .. F0 +
+/// Lanes - 1 at one channel. \p Taps is filter F0's R x R taps there and
+/// each next filter's sit \p TapStride floats on. Operand f (2D: f = i*N +
+/// j; 1D: f = kr*N + i) gets the group's values at Dst + f * Stride,
+/// lane-innermost, with zeros in the padding lanes up to \p Width. Every
+/// lane runs the operations of the per-filter transform in its order, from
+/// +0 in ascending tap order, so the lanes change no bits; with N and R
+/// fixed, only the lane loops are left to run.
+template <int N, int R, bool TwoD>
+void transformLaneGroup(const float *G, const float *Taps, int64_t TapStride,
+                        int Lanes, int Width, float *Dst, int64_t Stride) {
+  constexpr int Count = TwoD ? N * N : R * N;
+  float Gt[R * R][MaxGroupWidth]; // Gt[tap][lane]
+  float U[Count][MaxGroupWidth];
+  for (int L = 0; L < Lanes; ++L)
+    for (int T = 0; T < R * R; ++T)
+      Gt[T][L] = Taps[L * TapStride + T];
+  if constexpr (TwoD) {
+    // Tmp = G (N x R) * g (R x R).
+    float Tmp[N * R][MaxGroupWidth];
+    for (int I = 0; I < N; ++I)
+      for (int B = 0; B < R; ++B) {
+        float *Acc = Tmp[I * R + B];
+        std::fill(Acc, Acc + Lanes, 0.0f);
+        for (int A = 0; A < R; ++A) {
+          const float Coef = G[I * R + A];
+          for (int L = 0; L < Lanes; ++L)
+            Acc[L] += Coef * Gt[A * R + B][L];
+        }
+      }
+    // u[i][j] = sum_b Tmp[i][b] * G[j][b].
+    for (int I = 0; I < N; ++I)
+      for (int J = 0; J < N; ++J) {
+        float *Acc = U[I * N + J];
+        std::fill(Acc, Acc + Lanes, 0.0f);
+        for (int B = 0; B < R; ++B) {
+          const float Coef = G[J * R + B];
+          for (int L = 0; L < Lanes; ++L)
+            Acc[L] += Tmp[I * R + B][L] * Coef;
+        }
+      }
+  } else {
+    // u[kr][i] = sum_a G[i][a] * g[kr][a].
+    for (int Kr = 0; Kr < R; ++Kr)
+      for (int I = 0; I < N; ++I) {
+        float *Acc = U[Kr * N + I];
+        std::fill(Acc, Acc + Lanes, 0.0f);
+        for (int A = 0; A < R; ++A) {
+          const float Coef = G[I * R + A];
+          for (int L = 0; L < Lanes; ++L)
+            Acc[L] += Coef * Gt[Kr * R + A][L];
+        }
+      }
+  }
+  for (int F = 0; F < Count; ++F) {
+    float *Out = Dst + F * Stride;
+    std::memcpy(Out, U[F], static_cast<size_t>(Lanes) * sizeof(float));
+    std::fill(Out + Lanes, Out + Width, 0.0f);
+  }
+}
+
+/// Write U for every lane group of \p Geometry (filters x channels) into
+/// the operands at \p Base, one group at a time in storage order.
+template <int N, int R, bool TwoD>
+void transformGroups(const float *G, const PackedOperand &Geometry,
+                     const Kernel4D &Weights, float *Base) {
+  const int64_t Stride = static_cast<int64_t>(Geometry.floats());
+  const int64_t Filters = Geometry.lanes(), C = Weights.channels();
+  const int Width = Geometry.width();
+  assert(Width <= MaxGroupWidth && "lane group wider than its scratch");
+  Geometry.forEachGroup([&](int64_t F0, int64_t Ch, int64_t Off) {
+    const int Lanes = static_cast<int>(std::min<int64_t>(Width, Filters - F0));
+    transformLaneGroup<N, R, TwoD>(G, Weights.data() + (F0 * C + Ch) * R * R,
+                                   C * R * R, Lanes, Width, Base + Off,
+                                   Stride);
+  });
+}
+
+/// transformGroups for the registered tiles, (N, R) = (4, 3), (6, 3),
+/// (6, 5) and (7, 5).
+template <bool TwoD>
+void transformWeights(const WinogradTransform &T, const PackedOperand &Geometry,
+                      const Kernel4D &Weights, float *Base) {
+  const float *G = T.G.data();
+  if (T.N == 4 && T.R == 3)
+    transformGroups<4, 3, TwoD>(G, Geometry, Weights, Base);
+  else if (T.N == 6 && T.R == 3)
+    transformGroups<6, 3, TwoD>(G, Geometry, Weights, Base);
+  else if (T.N == 6 && T.R == 5)
+    transformGroups<6, 5, TwoD>(G, Geometry, Weights, Base);
+  else {
+    assert(T.N == 7 && T.R == 5 && "no weight transform for this tile");
+    transformGroups<7, 5, TwoD>(G, Geometry, Weights, Base);
+  }
+}
+
 /// Weight-side artifact shared by both Winograd schedules: the Toom-Cook
 /// transform matrices and the transformed kernel U as the pointwise GEMMs'
 /// operand A, in the micro-kernel's panels. 2D: one M x C operand per
 /// frequency, U_freq[f][c] = (G g G^T)[i][j] for freq = i*N + j, packed
 /// for the M x C x Tiles product. 1D: one per (kernel row, frequency),
 /// U[kr*N + freq][f][c] = (G g_row)[freq], packed for a full RowBlock-row
-/// block. Every operand is a view into one allocation, written in one pass
-/// over (c, f) with f innermost.
+/// block. Every operand is a view into one allocation, written one panel
+/// lane group at a time (transformLaneGroup).
 struct WinoPrepared : PreparedKernel {
   WinoPrepared(const WinoConfig &Cfg, const ConvScenario &S,
                const Kernel4D &Weights)
       : T(generateWinograd(Cfg.M, Cfg.R)) {
     const int64_t N = T.N, R = Cfg.R;
     assert(N <= MaxN && "tile larger than the transforms' block scratch");
+    assert(Weights.numFilters() == S.M && Weights.channels() == S.C &&
+           Weights.kernelSize() == R && "weights of another scenario");
     const int64_t Ho = S.outHeight(), Wo = S.outWidth();
     const int64_t Tw = ceilDiv(Wo, Cfg.M);
     const PackedOperand Geometry =
         Cfg.TwoD ? PackedOperand(GemmSide::A, S.M, ceilDiv(Ho, Cfg.M) * Tw,
                                  S.C)
                  : PackedOperand(GemmSide::A, S.M, RowBlock * Tw, S.C);
-    const int64_t Count = Cfg.TwoD ? N * N : R * N;
-    U = PackedOperands(Geometry, Count);
-    float *Base = U.data();
-    const int64_t Stride = static_cast<int64_t>(Geometry.floats());
-    float Tmp[MaxN * MaxN];
-    Geometry.forEachSlot([&](int64_t F, int64_t Ch, int64_t Off) {
-      float *Slot = Base + Off;
-      if (F >= S.M) {
-        for (int64_t I = 0; I < Count; ++I)
-          Slot[I * Stride] = 0.0f;
-        return;
-      }
-      if (!Cfg.TwoD) {
-        for (int64_t Kr = 0; Kr < R; ++Kr)
-          for (int64_t I = 0; I < N; ++I) {
-            float Acc = 0.0f;
-            for (int64_t A = 0; A < R; ++A)
-              Acc += T.G[I * R + A] * Weights.at(F, Ch, Kr, A);
-            Slot[(Kr * N + I) * Stride] = Acc;
-          }
-        return;
-      }
-      // Tmp = G (N x R) * g (R x R).
-      for (int64_t I = 0; I < N; ++I)
-        for (int64_t B = 0; B < R; ++B) {
-          float Acc = 0.0f;
-          for (int64_t A = 0; A < R; ++A)
-            Acc += T.G[I * R + A] * Weights.at(F, Ch, A, B);
-          Tmp[I * R + B] = Acc;
-        }
-      // u[i][j] = sum_b Tmp[i][b] * G[j][b].
-      for (int64_t I = 0; I < N; ++I)
-        for (int64_t J = 0; J < N; ++J) {
-          float Acc = 0.0f;
-          for (int64_t B = 0; B < R; ++B)
-            Acc += Tmp[I * R + B] * T.G[J * R + B];
-          Slot[(I * N + J) * Stride] = Acc;
-        }
-    });
+    U = PackedOperands(Geometry, Cfg.TwoD ? N * N : R * N);
+    if (Cfg.TwoD)
+      transformWeights<true>(T, Geometry, Weights, U.data());
+    else
+      transformWeights<false>(T, Geometry, Weights, U.data());
   }
 
   size_t bytes() const override { return U.bytes(); }

@@ -62,11 +62,13 @@ private:
   uint64_t State1;
 };
 
-/// Fill \p N floats at \p Data with uniform values in [-1, 1).
-inline void fillRandom(float *Data, size_t N, uint64_t Seed) {
+/// Fill \p N floats at \p Data with uniform values in [-1, 1), each times
+/// \p Scale in the same pass (exact when Scale is 1).
+inline void fillRandom(float *Data, size_t N, uint64_t Seed,
+                       float Scale = 1.0f) {
   Rng R(Seed);
   for (size_t I = 0; I < N; ++I)
-    Data[I] = R.nextFloat(-1.0f, 1.0f);
+    Data[I] = R.nextFloat(-1.0f, 1.0f) * Scale;
 }
 
 } // namespace primsel

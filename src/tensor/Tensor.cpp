@@ -29,6 +29,11 @@ Kernel4D::Kernel4D(int64_t M, int64_t C, int64_t K)
   assert(M > 0 && C > 0 && K > 0 && "kernel dimensions must be positive");
 }
 
+Kernel4D::Kernel4D(int64_t M, int64_t C, int64_t K, float *External)
+    : M(M), C(C), K(K), Buf(External, static_cast<size_t>(M * C * K * K)) {
+  assert(M > 0 && C > 0 && K > 0 && "kernel dimensions must be positive");
+}
+
 void Kernel4D::fillRandom(uint64_t Seed) {
   primsel::fillRandom(Buf.data(), Buf.size(), Seed);
 }

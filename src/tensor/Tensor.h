@@ -103,6 +103,10 @@ class Kernel4D {
 public:
   Kernel4D() = default;
   Kernel4D(int64_t M, int64_t C, int64_t K);
+  /// A kernel viewing \p External storage of at least M*C*K*K floats (e.g.
+  /// a compile's reused weight scratch). The storage is borrowed, not
+  /// owned, and must outlive the kernel.
+  Kernel4D(int64_t M, int64_t C, int64_t K, float *External);
 
   int64_t numFilters() const { return M; }
   int64_t channels() const { return C; }

@@ -235,15 +235,39 @@ TEST(Ladder, BackgroundCompileStaysOffTheRequestPath) {
   EXPECT_EQ(Hit.Bucket, 2);
 }
 
+TEST(Ladder, HitOnLargerBucketQueuesIdealBucket) {
+  LadderHarness H;
+  std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4}, true);
+  ASSERT_NE(L, nullptr);
+  // A miss for K = 3 queues bucket 4 only.
+  EXPECT_EQ(L->acquire(3).Artifact, nullptr);
+  L->waitForCompiles();
+  ASSERT_NE(L->bucket(4), nullptr);
+  EXPECT_EQ(L->bucket(2), nullptr);
+  // K = 2 is served by bucket 4, and that hit still queues bucket 2.
+  CompiledNetLadder::Rung Larger = L->acquire(2);
+  ASSERT_NE(Larger.Artifact, nullptr);
+  EXPECT_EQ(Larger.Bucket, 4);
+  L->waitForCompiles();
+  ASSERT_NE(L->bucket(2), nullptr);
+  CompiledNetLadder::Rung Ideal = L->acquire(2);
+  ASSERT_NE(Ideal.Artifact, nullptr);
+  EXPECT_EQ(Ideal.Bucket, 2);
+  LadderStats S = L->stats();
+  EXPECT_EQ(S.BackgroundCompiles, 2u);
+  EXPECT_EQ(S.SyncCompiles, 0u);
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.Misses, 1u);
+}
+
 TEST(Ladder, BackgroundCompileRacesAcquire) {
   // The TSan scenario: serving threads hammer acquire() while the
   // background thread compiles and publishes rungs.
   LadderHarness H;
   std::shared_ptr<CompiledNetLadder> L = H.ladder({1, 2, 4, 8}, true);
   ASSERT_NE(L, nullptr);
-  // Request every bucket up front: a hit on a larger resident bucket never
-  // requests the smaller ideal one, so otherwise a slow-starting thread
-  // could leave a bucket unrequested and the drained ladder incomplete.
+  // Request every bucket up front, so the serving threads race live
+  // compiles from their first acquire().
   for (int64_t K : {2, 4, 8})
     EXPECT_EQ(L->acquire(K).Artifact, nullptr);
   constexpr int PerThread = 200;

@@ -334,6 +334,53 @@ TEST_P(MicroKernelAllTiers, PackedOperandMatchesSgemmBytes) {
   }
 }
 
+// The group visitor states the panel order that forEachSlot, fill and the
+// Winograd weight transform all write through: each (lane group, depth)
+// once, in storage order, at the documented offset, and its groups
+// expanded lane by lane are exactly forEachSlot's slots, in order. K = 300
+// crosses a GemmKC slab, and 37 lanes leave the last group ragged at every
+// tier's width.
+TEST_P(MicroKernelAllTiers, GroupVisitorYieldsTheSlotOrder) {
+  TierOverrideGuard Guard;
+  setSimdTierOverride(GetParam());
+  const int64_t K = 300, Lanes = 37;
+  struct Slot {
+    int64_t Lane, P, Offset;
+    bool operator==(const Slot &O) const {
+      return Lane == O.Lane && P == O.P && Offset == O.Offset;
+    }
+  };
+  for (int64_t Other : {int64_t(3), int64_t(200)})
+    for (GemmSide Side : {GemmSide::A, GemmSide::B}) {
+      const int64_t M = Side == GemmSide::A ? Lanes : Other;
+      const int64_t N = Side == GemmSide::A ? Other : Lanes;
+      const PackedOperand Op(Side, M, N, K);
+      const int64_t W = Op.width();
+      ASSERT_NE(Lanes % W, 0) << "37 lanes fill every group at width " << W;
+      const int64_t Padded = (Lanes + W - 1) / W * W;
+      std::vector<Slot> Slots, Expanded;
+      Op.forEachSlot([&](int64_t L, int64_t P, int64_t Off) {
+        Slots.push_back({L, P, Off});
+      });
+      int64_t Next = 0;
+      Op.forEachGroup([&](int64_t L0, int64_t P, int64_t Off) {
+        const int64_t Pc = P / GemmKC * GemmKC;
+        const int64_t Kc = std::min(GemmKC, K - Pc);
+        ASSERT_EQ(L0 % W, 0);
+        ASSERT_EQ(Off, Pc * Padded + L0 / W * Kc * W + (P - Pc) * W)
+            << "lane " << L0 << " depth " << P;
+        ASSERT_EQ(Off, Next) << "lane " << L0 << " depth " << P;
+        Next = Off + W;
+        for (int64_t L = 0; L < W; ++L)
+          Expanded.push_back({L0 + L, P, Off + L});
+      });
+      EXPECT_EQ(static_cast<size_t>(Next), Op.floats());
+      EXPECT_TRUE(Expanded == Slots)
+          << (Side == GemmSide::A ? "side A " : "side B ") << M << "x" << N
+          << "x" << K << " width " << W;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, MicroKernelAllTiers,
                          ::testing::Values(SimdTier::Scalar, SimdTier::AVX2,
                                            SimdTier::AVX512),

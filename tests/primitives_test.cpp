@@ -40,6 +40,10 @@ const std::vector<ConvScenario> &sweepScenarios() {
       {3, 23, 23, 4, 11, 8, 0}, // AlexNet-conv1-like
       {16, 8, 8, 1, 3, 16, 1},  // many channels
       {5, 7, 9, 2, 5, 3, 2},    // strided 5x5, rectangular
+      // Weight panels across two GemmKC slabs, with M off every tier's
+      // panel width (padding lanes).
+      {300, 6, 6, 1, 3, 37, 1},
+      {300, 6, 6, 1, 5, 37, 2},
   };
   return Scenarios;
 }
